@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -107,12 +108,20 @@ class HarnessConfig:
             raise ConfigError(f"blocks_per_scale must be >= 1, got {self.blocks_per_scale}")
         if self.channels < 2:
             raise ConfigError(f"channels must be >= 2, got {self.channels}")
+        if self.heads < 1:
+            raise ConfigError(f"heads must be >= 1, got {self.heads}")
         if self.channels % self.heads:
             raise ConfigError(f"channels {self.channels} not divisible by heads {self.heads}")
         if self.prompt_tokens < 1:
             raise ConfigError(f"prompt_tokens must be >= 1, got {self.prompt_tokens}")
         if self.steps < 1:
             raise ConfigError(f"steps must be >= 1, got {self.steps}")
+        if not 0 <= self.weight_seed < 2**64:
+            raise ConfigError(
+                f"weight_seed must be a 64-bit unsigned integer, got {self.weight_seed}"
+            )
+        if not math.isfinite(self.guidance_scale):
+            raise ConfigError(f"guidance_scale must be finite, got {self.guidance_scale}")
         if self.report_format not in ("json", "csv"):
             raise ConfigError(f"format must be json or csv, got {self.report_format!r}")
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -78,8 +79,58 @@ class MergePlan:
     def r(self) -> int:
         return self.edges.shape[0]
 
+    @cached_property
+    def grouping(self) -> "Grouping":
+        """Token groups of this plan, built on first use and shared by every component."""
+        return _group(self)
+
     def edge_set(self) -> set[tuple[int, int]]:
         return {(int(s), int(d)) for s, d in self.edges}
+
+
+@dataclass(frozen=True)
+class Grouping:
+    """Which merged row every token joins, plus the order merging sums them in.
+
+    Merged rows are ordered by ascending representative index (the dst token
+    for merged groups, the token itself otherwise). `sum_order` lists the
+    tokens rank by rank: first the lowest-index member of every group, then
+    the second member of every group that has one, and so on, with the groups
+    ordered by descending size so the groups still summing at rank k are a
+    prefix of length `rank_counts[k]`. `slot[row]` is the position of merged
+    row `row` in that size order.
+    """
+
+    representatives: np.ndarray  # (merged_token_count,) int64
+    group_ids: np.ndarray  # (n_tokens,) int64
+    group_sizes: np.ndarray  # (merged_token_count,) int64
+    sum_order: np.ndarray  # (n_tokens,) int64
+    rank_counts: tuple[int, ...]
+    slot: np.ndarray  # (merged_token_count,) int64
+
+
+def _group(plan: MergePlan) -> Grouping:
+    n = plan.n_tokens
+    src, dst = plan.edges[:, 0], plan.edges[:, 1]
+    keep = np.ones(n, dtype=bool)
+    keep[src] = False
+    representatives = np.flatnonzero(keep)
+    # A kept token's row is the number of kept tokens before it.
+    row_of = np.cumsum(keep) - 1
+    target = np.arange(n, dtype=np.int64)
+    target[src] = dst
+    group_ids = row_of[target]
+    group_sizes = np.bincount(group_ids, minlength=representatives.size)
+
+    members = np.argsort(group_ids, kind="stable")  # by row, ascending index within a row
+    rows = group_ids[members]
+    rank = np.arange(n) - (np.cumsum(group_sizes) - group_sizes)[rows]
+    slot = np.argsort(np.argsort(-group_sizes, kind="stable"))  # row -> position by size
+    sum_order = members[np.argsort(rank * representatives.size + slot[rows], kind="stable")]
+    rank_counts = tuple(np.bincount(rank).tolist())
+    for arr in (representatives, group_ids, group_sizes, sum_order, slot):
+        arr.flags.writeable = False  # shared by every MergedTokens built from this plan
+    return Grouping(representatives, group_ids, group_sizes, sum_order, rank_counts, slot)
 
 
 def build_merge_plan(x, plan: PartitionPlan, ratio: float, element: int = 0) -> MergePlan:

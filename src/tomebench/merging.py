@@ -2,10 +2,19 @@
 
 Merging replaces each dst token and the src tokens matched to it with their
 arithmetic mean; unmerging copies the merged value back to every original
-position of the group. Group sums are accumulated in double precision in
-ascending original-index order and divided once, then cast back to float32.
-That makes the mean of identical members exactly reproduce the member value,
-and makes every merged value bit-deterministic.
+position of the group. Each group sum is accumulated in double precision,
+starting from zero and adding one member at a time in ascending
+original-index order, then divided once and cast back to float32. That makes
+the mean of identical members exactly reproduce the member value, and makes
+every merged value bit-deterministic.
+
+The accumulation runs rank by rank over the plan's `Grouping`, which is built
+once per plan and shared by every component: step k adds the k-th member of
+every group that has one, as one contiguous slice add. Each group therefore
+sees the same left-to-right sum as a scalar loop, while the Python loop runs
+only as many times as the largest group has members. (`np.add.reduceat` is
+not used: it adds the first member to a pairwise sum of the rest, which
+rounds differently.)
 
 Prune mode keeps the same surviving token set but leaves survivors untouched
 and writes zero vectors at the removed positions on restore.
@@ -62,18 +71,6 @@ class MergedTokens:
         return replace(self, values=values)
 
 
-def _grouping(plan: MergePlan) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(representatives, group_ids, group_sizes) for a plan."""
-    n = plan.n_tokens
-    target = np.arange(n, dtype=np.int64)
-    if plan.r:
-        target[plan.edges[:, 0]] = plan.edges[:, 1]
-    representatives = np.setdiff1d(np.arange(n, dtype=np.int64), plan.edges[:, 0])
-    group_ids = np.searchsorted(representatives, target)
-    group_sizes = np.bincount(group_ids, minlength=representatives.size).astype(np.int64)
-    return representatives, group_ids, group_sizes
-
-
 def _check_shape(x: np.ndarray, plan: MergePlan) -> np.ndarray:
     x = np.asarray(x, dtype=DTYPE)
     if x.ndim != 2 or x.shape[0] != plan.n_tokens:
@@ -84,19 +81,23 @@ def _check_shape(x: np.ndarray, plan: MergePlan) -> np.ndarray:
 def apply_merge(x, plan: MergePlan) -> MergedTokens:
     """Merge the planned src tokens into their dst groups by group mean."""
     x = _check_shape(x, plan)
-    representatives, group_ids, group_sizes = _grouping(plan)
-    sums = np.zeros((representatives.size, x.shape[1]), dtype=np.float64)
-    np.add.at(sums, group_ids, x.astype(np.float64))
-    values = (sums / group_sizes[:, None]).astype(DTYPE)
-    return MergedTokens(values, group_sizes, plan, group_ids, representatives, MODE_MERGE)
+    g = plan.grouping
+    ranked = x[g.sum_order].astype(np.float64)
+    sums = np.zeros((g.representatives.size, x.shape[1]), dtype=np.float64)
+    start = 0
+    for count in g.rank_counts:
+        sums[:count] += ranked[start:start + count]
+        start += count
+    values = (sums[g.slot] / g.group_sizes[:, None]).astype(DTYPE)
+    return MergedTokens(values, g.group_sizes, plan, g.group_ids, g.representatives, MODE_MERGE)
 
 
 def prune_reduce(x, plan: MergePlan) -> MergedTokens:
     """Drop the planned src tokens, keeping survivors unchanged."""
     x = _check_shape(x, plan)
-    representatives, group_ids, group_sizes = _grouping(plan)
+    g = plan.grouping
     return MergedTokens(
-        x[representatives].copy(), group_sizes, plan, group_ids, representatives, MODE_PRUNE
+        x[g.representatives], g.group_sizes, plan, g.group_ids, g.representatives, MODE_PRUNE
     )
 
 
@@ -107,7 +108,7 @@ def apply_unmerge(merged: MergedTokens) -> np.ndarray:
     positions; prune mode writes zeros at removed positions instead.
     """
     if merged.mode == MODE_MERGE:
-        return merged.values[merged.group_ids].copy()
+        return merged.values[merged.group_ids]
     out = np.zeros((merged.origin.n_tokens, merged.values.shape[1]), dtype=DTYPE)
     out[merged.representatives] = merged.values
     return out

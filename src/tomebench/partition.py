@@ -170,14 +170,17 @@ def _random_mask(shape: GridShape, scheme: PartitionScheme, gen: np.random.Gener
 
 
 def _rand_tile_mask(shape: GridShape, scheme: PartitionScheme, gen: np.random.Generator) -> np.ndarray:
+    # Tiles in row-major order; edge tiles are clipped to the grid. One
+    # `integers` call with an array of bounds consumes the stream exactly like
+    # one scalar call per tile in that order.
+    y0 = np.arange(0, shape.height, scheme.ty)[:, None]
+    x0 = np.arange(0, shape.width, scheme.tx)[None, :]
+    th = np.minimum(scheme.ty, shape.height - y0)
+    tw = np.minimum(scheme.tx, shape.width - x0)
+    pick = gen.integers(th * tw)
+    y, x = y0 + pick // tw, x0 + pick % tw
     mask = np.zeros(shape.tokens, dtype=bool)
-    for y0 in range(0, shape.height, scheme.ty):
-        for x0 in range(0, shape.width, scheme.tx):
-            th = min(scheme.ty, shape.height - y0)
-            tw = min(scheme.tx, shape.width - x0)
-            pick = int(gen.integers(th * tw))
-            y, x = y0 + pick // tw, x0 + pick % tw
-            mask[shape.flat_index(y, x)] = True
+    mask[(y * shape.width + x).ravel()] = True
     return mask
 
 

@@ -1,10 +1,13 @@
 """Minimal dense float32 kernel: matmul, row softmax, row layernorm, gather/scatter.
 
-All operations are pure (inputs are never mutated), operate on 2D float32
-arrays, and are deterministic: repeated evaluation on the same inputs is
-bit-identical. Where accumulation order matters for float reproducibility
-(scatter_add_rows with duplicate indices), rows are applied in ascending
-position order of the index list.
+All public operations are pure (inputs are never mutated), operate on 2D
+float32 arrays, and are deterministic: repeated evaluation on the same inputs
+is bit-identical. Inside an op, in-place arithmetic is used only on
+temporaries that the op allocated itself, in the same operation order as the
+plain expression, so it saves allocations and memory traffic without changing
+a single bit of the result. Where accumulation order matters for float
+reproducibility (scatter_add_rows with duplicate indices), rows are applied in
+ascending position order of the index list.
 """
 
 from __future__ import annotations
@@ -91,10 +94,17 @@ def matmul(a, b) -> np.ndarray:
 def softmax_rows(a) -> np.ndarray:
     """Row-wise softmax with max subtraction; each row sums to 1."""
     a = as_matrix(a)
-    shifted = a - a.max(axis=1, keepdims=True)
-    e = np.exp(shifted, dtype=DTYPE)
-    out = e / e.sum(axis=1, keepdims=True, dtype=DTYPE)
-    return _check_finite(out, "softmax_rows")
+    out = a - a.max(axis=1, keepdims=True)
+    np.exp(out, out=out)
+    sums = out.sum(axis=1, keepdims=True, dtype=DTYPE)
+    # A row with a finite maximum holds exp(0) = 1 and nothing above 1, so its
+    # sum is finite and >= 1. A NaN or +inf in a row, or a row of only -inf,
+    # makes its sum NaN. The quotient is therefore finite exactly when every
+    # row sum is, so checking the (n, 1) sums raises on exactly the inputs a
+    # check of `out` would.
+    _check_finite(sums, "softmax_rows")
+    out /= sums
+    return out
 
 
 def layernorm_rows(a, eps: float = 1e-5) -> np.ndarray:
@@ -107,10 +117,11 @@ def layernorm_rows(a, eps: float = 1e-5) -> np.ndarray:
     a = as_matrix(a)
     if a.shape[1] < 2:
         raise ShapeError(f"layernorm_rows needs >= 2 columns, got {a.shape[1]}")
-    wide = a.astype(np.float64)
-    centered = wide - wide.mean(axis=1, keepdims=True)
-    var = np.mean(centered * centered, axis=1, keepdims=True)
-    out = (centered / np.sqrt(var + eps)).astype(DTYPE)
+    centered = a.astype(np.float64)
+    centered -= centered.mean(axis=1, keepdims=True)
+    var = np.mean(np.square(centered), axis=1, keepdims=True)
+    # Divides in double precision and rounds once into the float32 result.
+    out = np.divide(centered, np.sqrt(var + eps), out=np.empty(a.shape, DTYPE))
     return _check_finite(out, "layernorm_rows")
 
 

@@ -132,12 +132,6 @@ class RunTrace:
     def merged_eval_total(self) -> int:
         return sum(r.merged_token_count for r in self.eligible_records())
 
-    def masks_at(self, step: int, layer: int) -> tuple[bytes, ...] | None:
-        for r in self.records:
-            if r.step == step and r.layer == layer:
-                return r.dst_masks
-        return None
-
 
 @dataclass(frozen=True)
 class BlockWeights:
@@ -154,11 +148,21 @@ class BlockWeights:
 
 
 def _gelu(x: np.ndarray) -> np.ndarray:
-    # tanh approximation, evaluated in float32
+    # tanh approximation 0.5 * x * (1 + tanh(c0 * (x + c1 * x * x * x))), evaluated
+    # in float32 in exactly that order; the in-place steps only touch the two
+    # arrays allocated here.
     c0 = DTYPE(0.7978845608028654)
     c1 = DTYPE(0.044715)
-    inner = c0 * (x + c1 * x * x * x)
-    return DTYPE(0.5) * x * (DTYPE(1.0) + np.tanh(inner))
+    inner = c1 * x
+    inner *= x
+    inner *= x
+    inner += x
+    inner *= c0
+    np.tanh(inner, out=inner)
+    inner += DTYPE(1.0)
+    out = DTYPE(0.5) * x
+    out *= inner
+    return out
 
 
 class UNetModel:
@@ -182,7 +186,8 @@ class UNetModel:
         outs = []
         for h in range(heads):
             cols = slice(h * dh, (h + 1) * dh)
-            logits = matmul(q[:, cols], np.ascontiguousarray(k[:, cols].T)) * scale
+            logits = matmul(q[:, cols], np.ascontiguousarray(k[:, cols].T))
+            logits *= scale  # matmul returned a fresh array
             outs.append(matmul(softmax_rows(logits), v[:, cols]))
         return matmul(np.concatenate(outs, axis=1), wo)
 

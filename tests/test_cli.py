@@ -124,6 +124,20 @@ class TestExitCodes:
         assert main(["run", "--config", str(cfg)]) == 1
         assert "wat" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line,field", [
+        ("heads = 0", "heads"),
+        ("weight_seed = -1", "weight_seed"),
+        ("guidance = nan", "guidance_scale"),
+        ("guidance = inf", "guidance_scale"),
+    ])
+    def test_bad_model_fields_exit_1_before_compute(self, tmp_path, capsys, line, field):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"latent = 8x8\nsteps = 1\n{line}\n")
+        out = tmp_path / "x"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        assert field in capsys.readouterr().err
+        assert not out.exists()
+
     def test_io_error_is_runtime(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"
         blocker.write_text("file, not a directory")

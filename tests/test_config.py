@@ -52,6 +52,19 @@ class TestValidation:
         with pytest.raises(ConfigError):
             HarnessConfig(channels=30, heads=4)
 
+    @pytest.mark.parametrize("key,text,field", [
+        ("heads", "0", "heads"),
+        ("heads", "-4", "heads"),
+        ("weight_seed", "-1", "weight_seed"),
+        ("weight_seed", str(2**64), "weight_seed"),
+        ("guidance", "nan", "guidance_scale"),
+        ("guidance", "inf", "guidance_scale"),
+        ("guidance", "-inf", "guidance_scale"),
+    ])
+    def test_runtime_holes_are_config_errors(self, key, text, field):
+        with pytest.raises(ConfigError, match=field):
+            harness_from_mapping({key: text})
+
     def test_capacity_bound_in_message(self):
         harness = HarnessConfig(latent=(8, 8), num_scales=2, channels=16,
                                 tome=ToMeConfig(ratio=0.6, partition=PartitionScheme.alternating()))

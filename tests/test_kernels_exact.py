@@ -1,0 +1,245 @@
+"""Bit-exactness of the allocation-lean kernels against the reference kernels.
+
+Every comparison is on `tobytes()`, so a single flipped bit (including the
+sign of a zero) fails. Where an input makes the reference raise, the new
+kernel must raise the same exception type.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+import reference_kernels as ref
+from tomebench import Schedule, ToMeConfig, UNetSpec, denoise, init_unet, make_init_noise
+from tomebench import partition, unet
+from tomebench.grid import GridShape
+from tomebench.matching import MergePlan, build_merge_plan
+from tomebench.merging import MODE_MERGE, MODE_PRUNE, apply_unmerge, reduce_tokens
+from tomebench.partition import PartitionError, PartitionScheme, make_partition
+from tomebench.rng import StreamRng
+from tomebench.tensor import DTYPE, NonFiniteError, layernorm_rows, softmax_rows
+from conftest import hand_plan
+
+INF = float("inf")
+
+
+def outcome(fn, *args):
+    """("ok", bytes) of the result, or ("raised", exception type)."""
+    try:
+        with np.errstate(all="ignore"):
+            return "ok", fn(*args).tobytes()
+    except (ArithmeticError, ValueError) as exc:
+        return "raised", type(exc)
+
+
+# Moderate values are where rounding differences between operation orders show;
+# the full range covers overflow, subnormals and signed zeros.
+finite32 = st.floats(-8.0, 8.0, width=32) | st.floats(width=32, allow_nan=False,
+                                                      allow_infinity=False)
+
+
+@st.composite
+def matrices(draw, min_cols=1, extra=st.nothing()):
+    """float32 matrices from 1x1 up; some rows constant, some with `extra` values."""
+    rows = draw(st.integers(1, 9))
+    cols = draw(st.integers(min_cols, 9))
+    a = draw(arrays(DTYPE, (rows, cols), elements=finite32 | extra))
+    for r in draw(st.lists(st.integers(0, rows - 1), max_size=2)):
+        a[r] = a[r, 0]
+    return a
+
+
+class TestElementwiseKernels:
+    @settings(max_examples=300, deadline=None)
+    @given(matrices(extra=st.just(-INF)))
+    def test_softmax_rows(self, a):
+        assert outcome(softmax_rows, a) == outcome(ref.softmax_rows, a)
+
+    @settings(max_examples=300, deadline=None)
+    @given(matrices())
+    def test_layernorm_rows(self, a):
+        assert outcome(layernorm_rows, a) == outcome(ref.layernorm_rows, a)
+
+    @settings(max_examples=300, deadline=None)
+    @given(matrices(extra=st.sampled_from([-INF, INF, 0.0, -0.0])))
+    def test_gelu(self, a):
+        assert outcome(unet._gelu, a) == outcome(ref.gelu, a)
+
+    @pytest.mark.parametrize("new,old", [
+        (softmax_rows, ref.softmax_rows),
+        (layernorm_rows, ref.layernorm_rows),
+        (unet._gelu, ref.gelu),
+    ])
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 30.0])
+    def test_dense_normal_inputs(self, nprng, new, old, scale):
+        a = (nprng.standard_normal((128, 96)) * scale).astype(DTYPE)
+        assert new(a).tobytes() == old(a).tobytes()
+
+    def test_inputs_not_mutated(self, nprng):
+        a = nprng.standard_normal((5, 7)).astype(DTYPE)
+        before = a.tobytes()
+        softmax_rows(a)
+        layernorm_rows(a)
+        unet._gelu(a)
+        assert a.tobytes() == before
+
+
+class TestSoftmaxCheckEquivalence:
+    """Checking the (n, 1) row sums raises on exactly the inputs where the
+    reference's check of the (n, n) output raises."""
+
+    @pytest.mark.parametrize("row", [
+        [0.0, float("nan"), 1.0],
+        [0.0, INF, 1.0],
+        [INF, INF, INF],
+        [-INF, -INF, -INF],
+        [float("nan")] * 3,
+    ])
+    def test_bad_row_raises(self, row):
+        a = np.array([[0.5, 0.25, 1.0], row], dtype=DTYPE)
+        for fn in (softmax_rows, ref.softmax_rows):
+            with pytest.raises(NonFiniteError), np.errstate(all="ignore"):
+                fn(a)
+
+    @pytest.mark.parametrize("row", [[-INF, 0.0, 1.0], [-INF, -INF, 3.0], [-3e38, 3e38, 0.0]])
+    def test_partly_neg_inf_row_passes(self, row):
+        a = np.array([[0.5, 0.25, 1.0], row], dtype=DTYPE)
+        with np.errstate(over="ignore"):
+            assert softmax_rows(a).tobytes() == ref.softmax_rows(a).tobytes()
+
+
+SCHEMES = ("alt", "strided:2x2", "strided:3x2", "rand:0.3", "rand:0.05", "rand2x2",
+           "randtile:3x2")
+
+
+def scheme_of(text: str, batch_fix: bool = True) -> PartitionScheme:
+    if text == "randtile:3x2":
+        return PartitionScheme.rand_tile(3, 2, batch_fix)
+    return PartitionScheme.parse(text, batch_fix)
+
+
+@st.composite
+def merge_cases(draw):
+    """(x, plan) over odd and even grids, ragged tiles, and large groups."""
+    height, width = draw(st.integers(1, 14)), draw(st.integers(1, 14))
+    scheme = scheme_of(draw(st.sampled_from(SCHEMES)))
+    seed = draw(st.integers(0, 2**32))
+    try:
+        part = make_partition(GridShape(1, height, width), scheme, StreamRng(seed))
+    except PartitionError:
+        assume(False)
+    n = height * width
+    src = n - part.dst_count
+    r = draw(st.integers(0, src))
+    channels = draw(st.integers(1, 5))
+    x = draw(arrays(DTYPE, (n, channels), elements=finite32))
+    feats = np.random.default_rng(seed).standard_normal((n, 3)).astype(DTYPE)
+    ratio = r / n
+    # floor(ratio * n) can land one below r; either way the plan is valid.
+    return x, build_merge_plan(feats, part, ratio)
+
+
+def assert_same_merge(x, plan, mode):
+    new, old = reduce_tokens(x, plan, mode), ref.reduce_tokens(x, plan, mode)
+    for name in ("values", "group_sizes", "group_ids", "representatives"):
+        assert getattr(new, name).tobytes() == getattr(old, name).tobytes(), name
+    assert apply_unmerge(new).tobytes() == ref.apply_unmerge(old).tobytes()
+
+
+class TestMergePath:
+    @settings(max_examples=300, deadline=None)
+    @given(merge_cases(), st.sampled_from([MODE_MERGE, MODE_PRUNE]))
+    def test_reduce_and_unmerge(self, case, mode):
+        x, plan = case
+        assert_same_merge(x, plan, mode)
+
+    def test_large_groups(self, nprng):
+        part = make_partition(GridShape(1, 16, 16), PartitionScheme.random(0.05), StreamRng(4))
+        feats = nprng.standard_normal((256, 4)).astype(DTYPE)
+        plan = build_merge_plan(feats, part, 0.9)
+        assert plan.grouping.group_sizes.max() > 8
+        # Wide dynamic range makes every association order round differently.
+        x = (nprng.standard_normal((256, 6)) * 10.0 ** nprng.integers(-20, 20, (256, 6)))
+        assert_same_merge(x.astype(DTYPE), plan, MODE_MERGE)
+
+    def test_signed_zero_members(self):
+        plan = build_merge_plan(np.ones((4, 1), DTYPE), hand_plan([True] + [False] * 3, 1, 4), 0.75)
+        x = np.full((4, 2), -0.0, dtype=DTYPE)
+        assert_same_merge(x, plan, MODE_MERGE)
+
+    def test_one_token_plan(self):
+        plan = MergePlan(hand_plan([True], 1, 1), 0, 1, np.empty((0, 2), np.int64),
+                         np.empty(0, np.int64), 1)
+        assert_same_merge(np.array([[-0.0, 2.5]], DTYPE), plan, MODE_MERGE)
+
+    def test_grouping_built_once(self, nprng):
+        part = make_partition(GridShape(1, 8, 8), PartitionScheme.rand_tile(2, 2), StreamRng(0))
+        plan = build_merge_plan(nprng.standard_normal((64, 4)).astype(DTYPE), part, 0.5)
+        assert plan.grouping is plan.grouping
+        assert not plan.grouping.group_ids.flags.writeable
+
+
+class TestRandTileDraw:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 13), st.integers(1, 13), st.integers(1, 5), st.integers(1, 5),
+           st.integers(0, 2**32))
+    def test_matches_per_tile_loop(self, height, width, ty, tx, seed):
+        shape, scheme = GridShape(1, height, width), PartitionScheme.rand_tile(ty, tx)
+        gen_new, gen_old = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(2):  # the second draw checks that both consumed the same stream
+            new = partition._rand_tile_mask(shape, scheme, gen_new)
+            old = ref.rand_tile_mask(shape, scheme, gen_old)
+            assert new.tobytes() == old.tobytes()
+
+
+def patch_reference_kernels(monkeypatch):
+    monkeypatch.setattr(unet, "softmax_rows", ref.softmax_rows)
+    monkeypatch.setattr(unet, "layernorm_rows", ref.layernorm_rows)
+    monkeypatch.setattr(unet, "_gelu", ref.gelu)
+    monkeypatch.setattr(unet, "reduce_tokens", ref.reduce_tokens)
+    monkeypatch.setattr(unet, "apply_unmerge", ref.apply_unmerge)
+    monkeypatch.setattr(unet.UNetModel, "_attention", ref.attention)
+    monkeypatch.setattr(partition, "_rand_tile_mask", ref.rand_tile_mask)
+
+
+SPECS = {
+    8: UNetSpec(scales=((8, 8, 1), (4, 4, 1)), channels=16, heads=2, prompt_tokens=4,
+                weight_seed=3),
+    16: UNetSpec(scales=((16, 16, 1), (8, 8, 1), (4, 4, 1)), channels=16, heads=2,
+                 prompt_tokens=4, weight_seed=3),
+}
+
+
+@pytest.mark.parametrize("side", sorted(SPECS))
+@pytest.mark.parametrize("scheme", ["alt", "strided:2x2", "rand:0.3", "rand2x2"])
+@pytest.mark.parametrize("prune", [False, True])
+@pytest.mark.parametrize("share", [False, True])
+@pytest.mark.parametrize("batch_fix", [True, False])
+def test_denoise_matches_reference_kernels(monkeypatch, side, scheme, prune, share, batch_fix):
+    spec = SPECS[side]
+    model = init_unet(spec)
+    noise = make_init_noise(spec, 1)
+    tome = ToMeConfig(ratio=0.4, partition=scheme_of(scheme, batch_fix), apply_cross=True,
+                      apply_mlp=True, min_tokens=1, seed=2, prune=prune,
+                      share_guidance_edges=share)
+    schedule = Schedule(2, 0.4, 0.2)
+    new = denoise(model, noise, schedule, tome, 7.5).values.tobytes()
+    with monkeypatch.context() as m:
+        patch_reference_kernels(m)
+        old = denoise(model, noise, schedule, tome, 7.5).values.tobytes()
+    assert new == old
+
+
+@pytest.mark.parametrize("side", sorted(SPECS))
+def test_baseline_denoise_matches_reference_kernels(monkeypatch, side):
+    spec = SPECS[side]
+    model = init_unet(spec)
+    noise = make_init_noise(spec, 1)
+    schedule = Schedule(2, 0.0, 0.0)
+    new = denoise(model, noise, schedule, None, 7.5).values.tobytes()
+    with monkeypatch.context() as m:
+        patch_reference_kernels(m)
+        old = denoise(model, noise, schedule, None, 7.5).values.tobytes()
+    assert new == old
