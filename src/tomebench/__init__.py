@@ -8,7 +8,6 @@ and a benchmarking CLI.
 from .config import ConfigError, HarnessConfig, ToMeConfig
 from .diffusion import (
     ErrorMetrics,
-    GuidancePair,
     Schedule,
     compare_to_baseline,
     denoise,
@@ -37,17 +36,15 @@ from .partition import (
     make_partition,
 )
 from .rng import StreamRng
-from .unet import BlockConfig, RunTrace, UNetModel, UNetSpec, init_unet
+from .unet import RunTrace, UNetModel, UNetSpec, init_unet
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlockConfig",
     "ConfigError",
     "ErrorMetrics",
     "FlopCount",
     "GridShape",
-    "GuidancePair",
     "HarnessConfig",
     "MergePlan",
     "MergedTokens",

@@ -29,7 +29,6 @@ def _add_run_flags(parser: argparse.ArgumentParser, sweep: bool = False) -> None
         parser.add_argument("--ratio", help="sweep axis: START:END:STEP or comma list")
         parser.add_argument("--partition", help="comma list of alt|strided:SYxSX|rand:F|rand2x2")
         parser.add_argument("--seed", help="comma list of seeds")
-        parser.add_argument("--workers", type=int, default=4, help="sweep worker pool size")
     else:
         parser.add_argument("--ratio", type=float, help="fraction of all tokens to remove")
         parser.add_argument("--partition", help="alt | strided:SYxSX | rand:F | rand2x2")
@@ -124,7 +123,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     partitions = [p.strip() for p in args.partition.split(",")] if args.partition else None
     seeds = [int(s) for s in args.seed.split(",")] if args.seed else None
     points = sweep_points(harness, ratios, partitions, seeds)
-    outputs = run_sweep(points, harness.out_dir, workers=args.workers)
+    outputs = run_sweep(points, harness.out_dir)
     print(f"sweep complete: {len(outputs)} points -> {Path(harness.out_dir) / 'sweep.csv'}")
     return EXIT_OK
 

@@ -55,6 +55,12 @@ class ToMeConfig:
             raise ConfigError(f"min_tokens must be >= 1, got {self.min_tokens}")
         if not 0 <= self.seed < 2**64:
             raise ConfigError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
+        if not self.enabled_components():
+            raise ConfigError("apply must name at least one component of self,cross,mlp")
+
+    def min_tokens_for(self, top_tokens: int) -> int:
+        """The block token-count floor; min_tokens=None means the top scale only."""
+        return top_tokens if self.min_tokens is None else self.min_tokens
 
     def schedule_endpoints(self) -> tuple[float, float]:
         """Effective (start, end) ratio: explicit endpoints override `ratio`."""
@@ -128,13 +134,6 @@ class HarnessConfig:
     def scale_dims(self) -> tuple[tuple[int, int], ...]:
         h, w = self.latent
         return tuple((h >> i, w >> i) for i in range(self.num_scales))
-
-    def resolved_min_tokens(self) -> int:
-        """min_tokens=None gates to the top scale only."""
-        if self.tome.min_tokens is not None:
-            return self.tome.min_tokens
-        h, w = self.latent
-        return h * w
 
 
 def _parse_bool(text: str, key: str) -> bool:
@@ -259,6 +258,7 @@ def config_dict(cfg: HarnessConfig) -> dict:
     """Canonical resolved configuration, embedded in every report."""
     tome = cfg.tome
     start, end = tome.schedule_endpoints()
+    h, w = cfg.latent
     return {
         "latent": list(cfg.latent),
         "channels": cfg.channels,
@@ -275,7 +275,7 @@ def config_dict(cfg: HarnessConfig) -> dict:
         "partition": tome.partition.spec_string(),
         "batch_fix": tome.partition.batch_fix,
         "apply": ",".join(tome.enabled_components()),
-        "min_tokens": cfg.resolved_min_tokens(),
+        "min_tokens": tome.min_tokens_for(h * w),
         "seed": tome.seed,
         "prune": tome.prune,
         "share_guidance_edges": tome.share_guidance_edges,

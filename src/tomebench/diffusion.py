@@ -68,25 +68,6 @@ def make_init_noise(spec: UNetSpec, seed: int) -> TokenGrid:
     return TokenGrid(GridShape(1, h, w), values)
 
 
-@dataclass(frozen=True)
-class GuidancePair:
-    """Conditional and unconditional predictions over the same latent grid."""
-
-    conditional: TokenGrid
-    unconditional: TokenGrid
-    guidance_scale: float
-
-    def __post_init__(self):
-        if self.conditional.shape != self.unconditional.shape:
-            raise ShapeError("guidance branches must share a grid shape")
-
-    def combine(self) -> np.ndarray:
-        """uncond + scale * (cond - uncond), in float32."""
-        cond = self.conditional.values
-        uncond = self.unconditional.values
-        return uncond + DTYPE(self.guidance_scale) * (cond - uncond)
-
-
 def denoise(
     model: UNetModel,
     init_noise: TokenGrid,
@@ -107,7 +88,6 @@ def denoise(
 
     prompts = np.stack([model.prompt_embedding, np.zeros_like(model.prompt_embedding)])
     pair_shape = GridShape(2, top_h, top_w)
-    single = init_noise.shape
 
     x = init_noise.values
     for step in range(schedule.steps):
@@ -115,13 +95,9 @@ def denoise(
         ratio = ratio_at(schedule, step)
         stacked = TokenGrid(pair_shape, np.concatenate([x, x], axis=0))
         pred = model.forward(stacked, prompts, tome=tome, ratio=ratio, step=step, trace=trace)
-        pair = GuidancePair(
-            conditional=TokenGrid(single, pred.values[:1]),
-            unconditional=TokenGrid(single, pred.values[1:]),
-            guidance_scale=guidance_scale,
-        )
+        cond, uncond = pred.values[:1], pred.values[1:]
         alpha = DTYPE(BASE_ALPHA * (1.0 - step / schedule.steps))
-        x = x - alpha * pair.combine()
+        x = x - alpha * (uncond + DTYPE(guidance_scale) * (cond - uncond))
         if trace is not None:
             trace.step_times.append(time.perf_counter() - t0)
     return TokenGrid(init_noise.shape, x)

@@ -22,8 +22,7 @@ from dataclasses import dataclass
 
 from .config import ToMeConfig
 from .diffusion import Schedule, ratio_at
-from .matching import tokens_to_remove
-from .unet import BlockConfig, UNetSpec, block_config_from
+from .unet import UNetSpec, merged_token_counts
 
 SOFTMAX_OPS = 5  # per logit element, includes max subtraction and normalize
 SCALE_OPS = 1
@@ -139,14 +138,23 @@ class BlockFlops:
         }
 
 
-def merged_count(n_tokens: int, ratio: float) -> int:
-    """n' = N - floor(ratio * N), the token count merged components evaluate."""
-    return n_tokens - tokens_to_remove(ratio, n_tokens)
+def _component_tokens(
+    spec: UNetSpec, tome: ToMeConfig | None, ratio: float
+) -> list[tuple[int, int, int, int, int, int]]:
+    """Per block: (scale, N, merged count, self, cross and mlp evaluated tokens)."""
+    rows = []
+    for (scale, h, w), merged in zip(spec.block_dims(), merged_token_counts(spec, tome, ratio)):
+        n = h * w
+        if merged is None:
+            rows.append((scale, n, n, n, n, n))
+        else:
+            rows.append((scale, n, merged, merged if tome.apply_self else n,
+                         merged if tome.apply_cross else n, merged if tome.apply_mlp else n))
+    return rows
 
 
 def flop_count(
     spec: UNetSpec,
-    cfg: BlockConfig,
     tome: ToMeConfig | None,
     step: int = 0,
     steps: int = 1,
@@ -160,18 +168,14 @@ def flop_count(
     c, heads, p = spec.channels, spec.heads, spec.prompt_tokens
 
     blocks = []
-    for layer, (scale, h, w) in enumerate(spec.block_dims()):
-        n = h * w
-        eligible = tome is not None and ratio > 0.0 and n >= cfg.min_tokens
-        n_eval = merged_count(n, ratio) if eligible else n
-        n_self = n_eval if (eligible and cfg.apply_self_attn) else n
-        n_cross = n_eval if (eligible and cfg.apply_cross_attn) else n
-        n_mlp = n_eval if (eligible and cfg.apply_mlp) else n
+    for layer, (scale, n, merged, n_self, n_cross, n_mlp) in enumerate(
+        _component_tokens(spec, tome, ratio)
+    ):
         blocks.append(BlockFlops(
             layer=layer,
             scale=scale,
             n_tokens=n,
-            merged_token_count=n_eval if eligible else n,
+            merged_token_count=merged,
             self_attn=self_attention_flops(n_self, c, heads),
             cross_attn=cross_attention_flops(n_cross, p, c, heads),
             mlp=mlp_flops(n_mlp, c),
@@ -232,10 +236,9 @@ def run_flops(
     batch: int = GUIDANCE_BATCH,
 ) -> RunFlops:
     """Analytic FLOPs for a full denoise run of `schedule.steps` evaluations."""
-    cfg = block_config_from(tome, spec)
     acc: list[BlockFlops] | None = None
     for step in range(schedule.steps):
-        step_blocks = flop_count(spec, cfg, tome, step, schedule.steps)
+        step_blocks = flop_count(spec, tome, step, schedule.steps)
         acc = step_blocks if acc is None else [
             _sum_block_flops(a, b) for a, b in zip(acc, step_blocks)
         ]
@@ -265,7 +268,6 @@ def _component_peak(n_eval: int, channels: int, heads: int, prompt_tokens: int, 
 
 def peak_live_elements(
     spec: UNetSpec,
-    cfg: BlockConfig,
     tome: ToMeConfig | None,
     ratio: float | None = None,
 ) -> int:
@@ -276,13 +278,7 @@ def peak_live_elements(
         ratio = tome.max_ratio()
     c, heads, p = spec.channels, spec.heads, spec.prompt_tokens
     peak = 0
-    for _, h, w in spec.block_dims():
-        n = h * w
-        eligible = tome is not None and ratio > 0.0 and n >= cfg.min_tokens
-        n_eval = merged_count(n, ratio) if eligible else n
-        n_self = n_eval if (eligible and cfg.apply_self_attn) else n
-        n_cross = n_eval if (eligible and cfg.apply_cross_attn) else n
-        n_mlp = n_eval if (eligible and cfg.apply_mlp) else n
+    for _, n, _, n_self, n_cross, n_mlp in _component_tokens(spec, tome, ratio):
         resident = 2 * n * c  # residual stream plus its normalized copy
         comp_peak = max(
             _component_peak(n_self, c, heads, p, "self"),

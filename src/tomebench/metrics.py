@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 from .config import REPORT_SCHEMA, HarnessConfig, ToMeConfig, config_dict, config_digest
 from .diffusion import ErrorMetrics, Schedule, ratio_at
-from .flops import GUIDANCE_BATCH, RunFlops, merged_count, peak_live_elements, run_flops
-from .unet import RunTrace, UNetSpec, block_config_from
+from .flops import GUIDANCE_BATCH, RunFlops, peak_live_elements, run_flops
+from .unet import RunTrace, UNetSpec, merged_token_counts
 
 
 class AggregationError(ValueError):
@@ -78,20 +78,16 @@ def _expected_ledger(
     spec: UNetSpec, tome: ToMeConfig | None, schedule: Schedule
 ) -> tuple[int, list[dict]]:
     """Analytic merged-token ledger: per (step, eligible block), N - floor(r*N)."""
-    cfg = block_config_from(tome, spec)
-    total = 0
+    per_step = [
+        merged_token_counts(spec, tome, ratio_at(schedule, step)) for step in range(schedule.steps)
+    ]
+    total = sum(count for counts in per_step for count in counts if count is not None)
     per_block = []
     for layer, (scale, h, w) in enumerate(spec.block_dims()):
-        n = h * w
-        eligible_any = False
-        for step in range(schedule.steps):
-            ratio = ratio_at(schedule, step)
-            if tome is not None and ratio > 0.0 and n >= cfg.min_tokens:
-                total += merged_count(n, ratio)
-                eligible_any = True
         per_block.append({
             "layer": layer, "scale": scale, "height": h, "width": w,
-            "n_tokens": n, "eligible": eligible_any,
+            "n_tokens": h * w,
+            "eligible": any(counts[layer] is not None for counts in per_step),
         })
     return total, per_block
 
@@ -130,12 +126,10 @@ def aggregate(
         for step in range(schedule.steps)
     ]
 
-    cfg = block_config_from(tome, spec)
     flops_merged = run_flops(spec, tome, schedule, GUIDANCE_BATCH)
     flops_baseline = run_flops(spec, None, schedule, GUIDANCE_BATCH)
-    if tome is not None and tome.max_ratio() > 0.0:
-        if flops_merged.total > flops_baseline.total:
-            raise AggregationError("merged FLOPs exceed baseline FLOPs")
+    if flops_merged.total > flops_baseline.total:
+        raise AggregationError("merged FLOPs exceed baseline FLOPs")
 
     tokens = {
         "per_block": per_block,
@@ -148,8 +142,8 @@ def aggregate(
         tokens=tokens,
         flops_baseline=flops_baseline,
         flops_merged=flops_merged,
-        memory_baseline=peak_live_elements(spec, cfg, None),
-        memory_merged=peak_live_elements(spec, cfg, tome),
+        memory_baseline=peak_live_elements(spec, None),
+        memory_merged=peak_live_elements(spec, tome),
         similarity_computes=trace.similarity_total,
         errors=errors,
     )

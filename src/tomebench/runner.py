@@ -5,18 +5,17 @@ from __future__ import annotations
 import csv
 import io
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .config import ConfigError, HarnessConfig, config_dict
 from .diffusion import ErrorMetrics, Schedule, compare_to_baseline, denoise, make_init_noise
 from .grid import GridShape, TokenGrid
-from .matching import build_merge_plan, export_edge_list, tokens_to_remove
+from .matching import build_merge_plan, export_edge_list
 from .metrics import RunReport, aggregate, report_csv_row, sweep_csv, timing_dict
 from .partition import PartitionScheme, expected_dst_count, make_partition
 from .rng import StreamRng
-from .unet import RunTrace, UNetModel, UNetSpec, init_unet
+from .unet import RunTrace, UNetModel, UNetSpec, init_unet, merged_token_counts
 from .viz import merge_map_to_ppm, write_partition_ppms
 
 
@@ -39,16 +38,14 @@ def build_schedule(harness: HarnessConfig) -> Schedule:
 def validate_capacity(harness: HarnessConfig) -> None:
     """Reject ratios the src set cannot supply, naming the feasible bound."""
     tome = harness.tome
-    max_ratio = tome.max_ratio()
-    if max_ratio == 0.0:
-        return
-    min_tokens = harness.resolved_min_tokens()
-    for h, w in harness.scale_dims():
-        n = h * w
-        if n < min_tokens:
+    spec = build_spec(harness)
+    for (_, h, w), merged in zip(spec.block_dims(),
+                                 merged_token_counts(spec, tome, tome.max_ratio())):
+        if merged is None:
             continue
+        n = h * w
         src = n - expected_dst_count(GridShape(1, h, w), tome.partition)
-        r = tokens_to_remove(max_ratio, n)
+        r = n - merged
         if r > src:
             raise ConfigError(
                 f"field 'ratio': r={r} exceeds the {src}-token src set of the {h}x{w} "
@@ -170,25 +167,18 @@ def sweep_points(base: HarnessConfig, ratios: list[float] | None = None,
     return points
 
 
-def run_sweep(points: list[HarnessConfig], out_dir: str | Path, workers: int = 4) -> list[RunOutput]:
-    """Execute sweep points in a worker pool; report writing stays serialized."""
+def run_sweep(points: list[HarnessConfig], out_dir: str | Path) -> list[RunOutput]:
+    """Execute sweep points one at a time, sharing one model per geometry."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    models: dict[tuple, UNetModel] = {}
+    models: dict[UNetSpec, UNetModel] = {}
+    outputs = []
     for point in points:
         spec = build_spec(point)
-        key = (spec.scales, spec.channels, spec.heads, spec.prompt_tokens, spec.weight_seed)
-        if key not in models:
-            models[key] = init_unet(spec)
-
-    def run_point(point: HarnessConfig) -> RunOutput:
-        spec = build_spec(point)
-        key = (spec.scales, spec.channels, spec.heads, spec.prompt_tokens, spec.weight_seed)
-        return execute_run(point, models[key])
-
-    with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
-        outputs = list(pool.map(run_point, points))
+        if spec not in models:
+            models[spec] = init_unet(spec)
+        outputs.append(execute_run(point, models[spec]))
 
     for i, output in enumerate(outputs):
         point_dir = out_dir / f"point_{i:03d}"

@@ -1,18 +1,15 @@
-"""Minimal dense float32 kernel: matmul, row softmax, row layernorm, gather/scatter.
+"""Minimal dense float32 kernel: matmul, row softmax, row layernorm.
 
 All public operations are pure (inputs are never mutated), operate on 2D
 float32 arrays, and are deterministic: repeated evaluation on the same inputs
 is bit-identical. Inside an op, in-place arithmetic is used only on
 temporaries that the op allocated itself, in the same operation order as the
 plain expression, so it saves allocations and memory traffic without changing
-a single bit of the result. Where accumulation order matters for float
-reproducibility (scatter_add_rows with duplicate indices), rows are applied in
-ascending position order of the index list.
+a single bit of the result.
 """
 
 from __future__ import annotations
 
-import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -23,10 +20,6 @@ DTYPE = np.float32
 
 class ShapeError(ValueError):
     """Operand dimensions are incompatible."""
-
-
-class TokenIndexError(IndexError):
-    """A row index is outside the valid range."""
 
 
 class NonFiniteError(ArithmeticError):
@@ -40,26 +33,17 @@ class FlopCounter:
     matmul: int = 0
 
 
-_local = threading.local()
-
-
-def _active_counters() -> list[FlopCounter]:
-    counters = getattr(_local, "counters", None)
-    if counters is None:
-        counters = []
-        _local.counters = counters
-    return counters
+_active_counters: list[FlopCounter] = []
 
 
 @contextmanager
 def count_matmul_flops(counter: FlopCounter):
-    """Record matmul FLOPs issued by this thread into `counter`."""
-    stack = _active_counters()
-    stack.append(counter)
+    """Record matmul FLOPs issued inside the `with` body into `counter`."""
+    _active_counters.append(counter)
     try:
         yield counter
     finally:
-        stack.pop()
+        _active_counters.pop()
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -86,7 +70,7 @@ def matmul(a, b) -> np.ndarray:
         )
     with np.errstate(over="ignore", invalid="ignore"):
         out = a @ b
-    for counter in _active_counters():
+    for counter in _active_counters:
         counter.matmul += 2 * a.shape[0] * a.shape[1] * b.shape[1]
     return _check_finite(out, "matmul")
 
@@ -123,37 +107,3 @@ def layernorm_rows(a, eps: float = 1e-5) -> np.ndarray:
     # Divides in double precision and rounds once into the float32 result.
     out = np.divide(centered, np.sqrt(var + eps), out=np.empty(a.shape, DTYPE))
     return _check_finite(out, "layernorm_rows")
-
-
-def _check_indices(idx, rows: int) -> np.ndarray:
-    idx = np.asarray(idx, dtype=np.int64)
-    if idx.ndim != 1:
-        raise ShapeError(f"index list must be 1D, got ndim={idx.ndim}")
-    if idx.size and (idx.min() < 0 or idx.max() >= rows):
-        raise TokenIndexError(f"row index out of range [0, {rows})")
-    return idx
-
-
-def gather_rows(a, idx) -> np.ndarray:
-    """Select rows of `a` in the order given by `idx`."""
-    a = as_matrix(a)
-    idx = _check_indices(idx, a.shape[0])
-    return a[idx].copy()
-
-
-def scatter_add_rows(a, idx, src) -> np.ndarray:
-    """Accumulate rows of `src` into `a` at `idx`, without mutating `a`.
-
-    Duplicate indices accumulate; additions are applied in ascending
-    position order of `idx` so the result is bit-deterministic.
-    """
-    a = as_matrix(a, "a")
-    src = as_matrix(src, "src")
-    idx = _check_indices(idx, a.shape[0])
-    if idx.shape[0] != src.shape[0]:
-        raise ShapeError(f"idx has {idx.shape[0]} entries but src has {src.shape[0]} rows")
-    if src.shape[1] != a.shape[1]:
-        raise ShapeError(f"column mismatch: a has {a.shape[1]}, src has {src.shape[1]}")
-    out = a.copy()
-    np.add.at(out, idx, src)
-    return out

@@ -12,6 +12,11 @@ sees only the merged tokens, and its output is unmerged before the residual
 add, so the token count entering and leaving every block is unchanged.
 Attention logits never see group sizes (no proportional attention), and
 prompt tokens are never merged.
+
+`merged_token_counts` is the single home of the merge policy: which blocks
+merge at a given ratio, and how many tokens their merged components evaluate.
+The forward pass, the FLOP and memory model, the token ledger and the
+capacity check all derive from it.
 """
 
 from __future__ import annotations
@@ -23,27 +28,13 @@ import numpy as np
 
 from .config import ToMeConfig
 from .grid import GridShape, TokenGrid
-from .matching import MergePlan, build_merge_plan
+from .matching import MergePlan, build_merge_plan, tokens_to_remove
 from .merging import MODE_MERGE, MODE_PRUNE, apply_unmerge, reduce_tokens
 from .partition import PartitionPlan, make_partition
 from .rng import StreamRng
 from .tensor import DTYPE, ShapeError, layernorm_rows, matmul, softmax_rows
 
 WEIGHT_STD = 0.02
-
-
-@dataclass(frozen=True)
-class BlockConfig:
-    """Which components merge, and the token-count floor below which none do."""
-
-    apply_self_attn: bool = True
-    apply_cross_attn: bool = False
-    apply_mlp: bool = False
-    min_tokens: int = 1
-
-    def __post_init__(self):
-        if self.min_tokens < 1:
-            raise ShapeError(f"min_tokens must be >= 1, got {self.min_tokens}")
 
 
 @dataclass(frozen=True)
@@ -89,12 +80,21 @@ class UNetSpec:
         return tuple(dims)
 
 
-def block_config_from(tome: ToMeConfig | None, spec: UNetSpec) -> BlockConfig:
-    """Resolve the per-block policy; min_tokens=None means top scale only."""
-    if tome is None:
-        return BlockConfig(False, False, False, 1)
-    min_tokens = tome.min_tokens if tome.min_tokens is not None else spec.top_tokens
-    return BlockConfig(tome.apply_self, tome.apply_cross, tome.apply_mlp, min_tokens)
+def merged_token_counts(
+    spec: UNetSpec, tome: ToMeConfig | None, ratio: float
+) -> tuple[int | None, ...]:
+    """Per block in forward order: N - floor(ratio * N) if it merges, else None.
+
+    A block merges when a policy is given, the ratio is positive and the
+    block holds at least `min_tokens` tokens (by default, the top scale's).
+    """
+    if tome is None or ratio <= 0.0:
+        return (None,) * spec.n_blocks
+    min_tokens = tome.min_tokens_for(spec.top_tokens)
+    return tuple(
+        n - tokens_to_remove(ratio, n) if n >= min_tokens else None
+        for n in (h * w for _, h, w in spec.block_dims())
+    )
 
 
 @dataclass
@@ -172,7 +172,6 @@ class UNetModel:
         self.spec = spec
         self.blocks = blocks
         self.prompt_embedding = prompt_embedding
-        self._dims = spec.block_dims()
 
     # -- components ---------------------------------------------------------
 
@@ -229,79 +228,60 @@ class UNetModel:
         height: int,
         width: int,
         prompts: np.ndarray,
-        cfg: BlockConfig,
         tome: ToMeConfig | None,
         ratio: float,
+        eligible: bool,
         step: int,
         layer: int,
         trace: RunTrace | None,
     ) -> np.ndarray:
         batch, n_tokens, _ = values.shape
         weights = self.blocks[layer]
-        eligible = tome is not None and ratio > 0.0 and n_tokens >= cfg.min_tokens
-
-        plans: list[MergePlan | None] = [None] * batch
         if eligible:
-            part, built = self._build_plans(values, height, width, tome, ratio, step, layer)
-            plans = list(built)
-            if trace is not None:
-                trace.add(BlockTraceRecord(
-                    step=step, layer=layer, n_tokens=n_tokens, eligible=True,
-                    r=built[0].r, merged_token_count=built[0].merged_token_count,
-                    similarity_computes=1, dst_count=part.dst_count,
-                    dst_masks=part.packed_masks(),
-                ))
-        elif trace is not None:
-            trace.add(BlockTraceRecord(
-                step=step, layer=layer, n_tokens=n_tokens, eligible=False,
-                r=0, merged_token_count=n_tokens, similarity_computes=0,
-            ))
-
+            part, plans = self._build_plans(values, height, width, tome, ratio, step, layer)
         mode = MODE_PRUNE if (tome is not None and tome.prune) else MODE_MERGE
+        received: set[int] = set()  # row counts the merged components were given
 
-        def pass_through(apply_flag: bool, component) -> np.ndarray:
+        def pass_through(merge: bool, component) -> np.ndarray:
             # component(element, tokens) -> tokens; sees merged tokens when wrapped
             rows = []
             for e in range(batch):
                 normed = layernorm_rows(values[e])
-                if eligible and apply_flag:
+                if merge:
                     reduced = reduce_tokens(normed, plans[e], mode)
+                    received.add(reduced.values.shape[0])
                     out = apply_unmerge(reduced.with_values(component(e, reduced.values)))
                 else:
                     out = component(e, normed)
                 rows.append(values[e] + out)
             return np.stack(rows)
 
-        values = pass_through(cfg.apply_self_attn, lambda e, t: self._self_attention(t, weights))
-        values = pass_through(cfg.apply_cross_attn,
+        values = pass_through(eligible and tome.apply_self,
+                              lambda e, t: self._self_attention(t, weights))
+        values = pass_through(eligible and tome.apply_cross,
                               lambda e, t: self._cross_attention(t, prompts[e], weights))
-        values = pass_through(cfg.apply_mlp, lambda e, t: self._mlp(t, weights))
+        values = pass_through(eligible and tome.apply_mlp, lambda e, t: self._mlp(t, weights))
+
+        if trace is not None:
+            if not eligible:
+                trace.add(BlockTraceRecord(
+                    step=step, layer=layer, n_tokens=n_tokens, eligible=False,
+                    r=0, merged_token_count=n_tokens, similarity_computes=0,
+                ))
+            elif len(received) != 1:
+                raise ShapeError(
+                    f"block {layer}: merged components received {sorted(received)} token rows"
+                )
+            else:
+                trace.add(BlockTraceRecord(
+                    step=step, layer=layer, n_tokens=n_tokens, eligible=True,
+                    r=plans[0].r, merged_token_count=received.pop(),
+                    similarity_computes=1, dst_count=part.dst_count,
+                    dst_masks=part.packed_masks(),
+                ))
         return values
 
     # -- model --------------------------------------------------------------
-
-    def block_forward(
-        self,
-        x: TokenGrid,
-        prompts: np.ndarray,
-        cfg: BlockConfig,
-        tome: ToMeConfig | None = None,
-        ratio: float | None = None,
-        step: int = 0,
-        layer: int = 0,
-        trace: RunTrace | None = None,
-    ) -> TokenGrid:
-        """Run a single block on a grid at that block's scale."""
-        _, h, w = self._dims[layer]
-        if (x.shape.height, x.shape.width) != (h, w):
-            raise ShapeError(
-                f"block {layer} expects a {h}x{w} grid, got {x.shape.height}x{x.shape.width}"
-            )
-        prompts = self._check_prompts(prompts, x.shape.batch)
-        if tome is not None and ratio is None:
-            ratio = tome.ratio
-        out = self._block(x.values, h, w, prompts, cfg, tome, ratio or 0.0, step, layer, trace)
-        return TokenGrid(x.shape, out)
 
     def _check_prompts(self, prompts, batch: int) -> np.ndarray:
         prompts = np.asarray(prompts, dtype=DTYPE)
@@ -335,17 +315,18 @@ class UNetModel:
         if grid.channels != self.spec.channels:
             raise ShapeError(f"grid channels {grid.channels} != {self.spec.channels}")
         prompts = self._check_prompts(prompts, grid.shape.batch)
-        cfg = block_config_from(tome, self.spec)
         if tome is not None and ratio is None:
             ratio = tome.ratio
         ratio = ratio or 0.0
+        counts = merged_token_counts(self.spec, tome, ratio)
 
         h = grid.values
         skips = []
         layer = 0
         for si, (sh, sw, blocks) in enumerate(self.spec.scales):
             for _ in range(blocks):
-                h = self._block(h, sh, sw, prompts, cfg, tome, ratio, step, layer, trace)
+                h = self._block(h, sh, sw, prompts, tome, ratio, counts[layer] is not None,
+                                step, layer, trace)
                 layer += 1
             skips.append(h)
             if si < len(self.spec.scales) - 1:

@@ -129,6 +129,7 @@ class TestExitCodes:
         ("weight_seed = -1", "weight_seed"),
         ("guidance = nan", "guidance_scale"),
         ("guidance = inf", "guidance_scale"),
+        ("apply = ,", "apply"),
     ])
     def test_bad_model_fields_exit_1_before_compute(self, tmp_path, capsys, line, field):
         cfg = tmp_path / "bad.cfg"
@@ -151,7 +152,7 @@ class TestSweep:
         code = main([
             "sweep", "--latent", "16x16", "--steps", "4", "--seed", "0",
             "--ratio", "0.1:0.6:0.1", "--apply", "self,cross,mlp", "--min-tokens", "1",
-            "--out", str(out), "--workers", "2",
+            "--out", str(out),
         ])
         assert code == 0
         rows = list(csv.DictReader((out / "sweep.csv").open()))

@@ -28,7 +28,7 @@ class TestDefaults:
         assert harness.latent == (32, 32)
         assert harness.steps == 50
         assert harness.guidance_scale == 7.5
-        assert harness.resolved_min_tokens() == 1024  # top scale only
+        assert config_dict(harness)["min_tokens"] == 1024  # top scale only
         assert harness.scale_dims() == ((32, 32), (16, 16), (8, 8))
 
     def test_schedule_endpoints(self):
@@ -60,6 +60,7 @@ class TestValidation:
         ("guidance", "nan", "guidance_scale"),
         ("guidance", "inf", "guidance_scale"),
         ("guidance", "-inf", "guidance_scale"),
+        ("apply", ",", "apply"),
     ])
     def test_runtime_holes_are_config_errors(self, key, text, field):
         with pytest.raises(ConfigError, match=field):

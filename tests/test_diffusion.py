@@ -3,7 +3,7 @@ import pytest
 
 from tomebench import RunTrace, ToMeConfig
 from tomebench.diffusion import (
-    GuidancePair,
+    BASE_ALPHA,
     Schedule,
     ScheduleRangeError,
     compare_to_baseline,
@@ -11,8 +11,9 @@ from tomebench.diffusion import (
     make_init_noise,
     ratio_at,
 )
+from tomebench.grid import GridShape, TokenGrid
 from tomebench.partition import PartitionScheme
-from tomebench.tensor import ShapeError
+from tomebench.tensor import DTYPE, ShapeError
 
 
 class TestSchedule:
@@ -133,21 +134,19 @@ class TestBatchFix:
         assert np.mean(unfixed_errs) > np.mean(fixed_errs)
 
 
-class TestGuidancePair:
-    def test_combine_formula(self, tiny_model):
-        cond = make_init_noise(tiny_model.spec, 1)
-        uncond = make_init_noise(tiny_model.spec, 2)
-        got = GuidancePair(cond, uncond, 7.5).combine()
-        want = uncond.values.astype(np.float64) + 7.5 * (
-            cond.values.astype(np.float64) - uncond.values.astype(np.float64))
-        assert np.allclose(got, want, atol=1e-5)
-        assert np.array_equal(GuidancePair(cond, uncond, 0.0).combine(), uncond.values)
-
-    def test_shape_checked(self, tiny_model):
-        import dataclasses
-        small = dataclasses.replace(tiny_model.spec, scales=((4, 4, 1),))
-        with pytest.raises(ShapeError):
-            GuidancePair(make_init_noise(tiny_model.spec, 0), make_init_noise(small, 0), 7.5)
+class TestGuidance:
+    def test_one_step_combines_the_stacked_pair(self, tiny_model):
+        noise = make_init_noise(tiny_model.spec, 1)
+        x = noise.values
+        h, w, _ = tiny_model.spec.scales[0]
+        prompts = np.stack([tiny_model.prompt_embedding,
+                            np.zeros_like(tiny_model.prompt_embedding)])
+        pred = tiny_model.forward(TokenGrid(GridShape(2, h, w), np.concatenate([x, x])),
+                                  prompts).values
+        cond, uncond = pred[:1], pred[1:]
+        want = x - DTYPE(BASE_ALPHA) * (uncond + DTYPE(7.5) * (cond - uncond))
+        got = denoise(tiny_model, noise, Schedule(1, 0.0, 0.0), None, guidance_scale=7.5)
+        assert got.values.tobytes() == want.tobytes()
 
 
 class TestCompareToBaseline:

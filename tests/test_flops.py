@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from tomebench import ToMeConfig, init_unet
+from tomebench import ToMeConfig, UNetSpec, init_unet
 from tomebench.diffusion import Schedule
 from tomebench.flops import (
     FlopCount,
     cross_attention_flops,
     flop_count,
-    merged_count,
     mlp_flops,
     peak_live_elements,
     run_flops,
@@ -15,7 +14,7 @@ from tomebench.flops import (
 )
 from tomebench.grid import GridShape, TokenGrid
 from tomebench.tensor import DTYPE, FlopCounter, count_matmul_flops
-from tomebench.unet import block_config_from
+from tomebench.unet import merged_token_counts
 
 
 def all_on(ratio=0.5, **kw):
@@ -41,25 +40,26 @@ class TestClosedForms:
         assert half.linear * 2 == full.linear
 
     def test_merged_count(self):
-        assert merged_count(4096, 0.5) == 2048
-        assert merged_count(100, 0.0) == 100
+        # n' = N - floor(ratio * N) for a merging block
+        spec = UNetSpec(scales=((64, 64, 1),), channels=8, heads=2, prompt_tokens=2)
+        assert merged_token_counts(spec, ToMeConfig(), 0.5) == (2048,)
+        spec = UNetSpec(scales=((10, 10, 1),), channels=8, heads=2, prompt_tokens=2)
+        assert merged_token_counts(spec, ToMeConfig(), 0.333) == (67,)
 
 
 class TestFlopCountPolicy:
     def test_ratio_zero_equals_baseline(self, tiny_spec):
         tome = ToMeConfig(ratio=0.0)
-        cfg = block_config_from(tome, tiny_spec)
-        with_tome = flop_count(tiny_spec, cfg, tome)
-        plain = flop_count(tiny_spec, block_config_from(None, tiny_spec), None)
+        with_tome = flop_count(tiny_spec, tome)
+        plain = flop_count(tiny_spec, None)
         assert [b.to_dict() for b in with_tome] == [b.to_dict() for b in plain]
 
     def test_self_only_ratios(self, tiny_spec):
         # top-scale blocks merged at 0.5: self pairwise 0.25x, self linear 0.5x,
         # cross and mlp untouched; deeper blocks fully untouched
         tome = ToMeConfig(ratio=0.5)  # defaults: self only, top scale only
-        cfg = block_config_from(tome, tiny_spec)
-        merged = flop_count(tiny_spec, cfg, tome)
-        base = flop_count(tiny_spec, block_config_from(None, tiny_spec), None)
+        merged = flop_count(tiny_spec, tome)
+        base = flop_count(tiny_spec, None)
         for mb, bb in zip(merged, base):
             if mb.n_tokens >= tiny_spec.top_tokens:
                 assert mb.self_attn.pairwise * 4 == bb.self_attn.pairwise
@@ -72,16 +72,15 @@ class TestFlopCountPolicy:
 
     def test_mlp_merging_halves_mlp(self, tiny_spec):
         tome = all_on(0.5)
-        cfg = block_config_from(tome, tiny_spec)
-        merged = flop_count(tiny_spec, cfg, tome)
-        base = flop_count(tiny_spec, block_config_from(None, tiny_spec), None)
+        merged = flop_count(tiny_spec, tome)
+        base = flop_count(tiny_spec, None)
         for mb, bb in zip(merged, base):
             assert mb.mlp.total * 2 == bb.mlp.total
 
     def test_overhead_never_shrinks(self, tiny_spec):
         tome = all_on(0.5)
-        merged = flop_count(tiny_spec, block_config_from(tome, tiny_spec), tome)
-        base = flop_count(tiny_spec, block_config_from(None, tiny_spec), None)
+        merged = flop_count(tiny_spec, tome)
+        base = flop_count(tiny_spec, None)
         for mb, bb in zip(merged, base):
             assert mb.overhead.to_dict() == bb.overhead.to_dict()
 
@@ -114,43 +113,58 @@ class TestRunFlops:
         assert constant.total != decaying.total
 
 
+def counted_and_analytic_matmul_flops(spec, tome):
+    """(FlopCounter total of one batch-2 forward, flop_count's matmul total for it)."""
+    model = init_unet(spec)
+    batch = 2
+    h, w, _ = spec.scales[0]
+    gen = np.random.default_rng(1)
+    grid = TokenGrid(GridShape(batch, h, w),
+                     gen.standard_normal((batch, h * w, spec.channels)).astype(DTYPE))
+    prompts = np.broadcast_to(model.prompt_embedding, (batch,) + model.prompt_embedding.shape)
+
+    counter = FlopCounter()
+    with count_matmul_flops(counter):
+        model.forward(grid, prompts, tome=tome)
+
+    blocks = flop_count(spec, tome)
+    analytic = sum(
+        b.self_attn.matmul_total + b.cross_attn.matmul_total + b.mlp.matmul_total
+        for b in blocks
+    )
+    return counter.matmul, analytic * batch
+
+
 class TestInstrumentedEquality:
     @pytest.mark.parametrize("use_tome", [False, True])
     def test_matmul_counter_matches_analytic(self, tiny_spec, use_tome):
-        model = init_unet(tiny_spec)
-        batch = 2
-        h, w, _ = tiny_spec.scales[0]
-        gen = np.random.default_rng(1)
-        grid = TokenGrid(GridShape(batch, h, w),
-                         gen.standard_normal((batch, h * w, tiny_spec.channels)).astype(DTYPE))
-        prompts = np.broadcast_to(model.prompt_embedding, (batch,) + model.prompt_embedding.shape)
         tome = all_on(0.5, seed=3) if use_tome else None
+        counted, analytic = counted_and_analytic_matmul_flops(tiny_spec, tome)
+        assert counted == analytic
 
-        counter = FlopCounter()
-        with count_matmul_flops(counter):
-            model.forward(grid, prompts, tome=tome, ratio=0.5 if use_tome else None)
-
-        cfg = block_config_from(tome, tiny_spec)
-        blocks = flop_count(tiny_spec, cfg, tome)
-        analytic = sum(
-            b.self_attn.matmul_total + b.cross_attn.matmul_total + b.mlp.matmul_total
-            for b in blocks
-        )
-        assert counter.matmul == analytic * batch
+    @pytest.mark.parametrize("tome", [
+        ToMeConfig(ratio=0.5, seed=3),  # self only, top scale only
+        ToMeConfig(ratio=0.5, apply_self=True, apply_cross=True, apply_mlp=True,
+                   min_tokens=16, seed=3),  # floor met exactly by the 4x4 blocks
+        all_on(0.01, seed=3),  # floor(0.01 * N) == 0 in every block: r = 0
+        all_on(0.5, seed=3, prune=True),
+    ], ids=["default", "min-tokens-16", "r-zero", "prune"])
+    def test_matmul_counter_matches_analytic_policy(self, tiny_spec, tome):
+        counted, analytic = counted_and_analytic_matmul_flops(tiny_spec, tome)
+        assert counted == analytic
 
 
 class TestMemoryProxy:
     def test_merging_reduces_peak(self, tiny_spec):
-        cfg = block_config_from(all_on(0.5), tiny_spec)
-        base = peak_live_elements(tiny_spec, cfg, None)
-        merged = peak_live_elements(tiny_spec, cfg, all_on(0.5))
+        base = peak_live_elements(tiny_spec, None)
+        merged = peak_live_elements(tiny_spec, all_on(0.5))
         assert merged < base
 
     def test_peak_monotone_in_ratio(self, tiny_spec):
         peaks = []
         for ratio in (0.1, 0.3, 0.5, 0.7):
             tome = all_on(ratio)
-            peaks.append(peak_live_elements(tiny_spec, block_config_from(tome, tiny_spec), tome))
+            peaks.append(peak_live_elements(tiny_spec, tome))
         for a, b in zip(peaks, peaks[1:]):
             assert b <= a
 

@@ -1,9 +1,11 @@
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 
-from tomebench import HarnessConfig, ToMeConfig
+from tomebench import HarnessConfig, ToMeConfig, unet
+from tomebench.merging import MODE_MERGE, MergedTokens
 from tomebench.metrics import (
     AggregationError,
     aggregate,
@@ -59,6 +61,17 @@ class TestAggregate:
                 break
         with pytest.raises(AggregationError, match="ledger"):
             aggregate(harness, build_spec(harness), build_schedule(harness), bad)
+
+    def test_unreduced_components_fail_the_ledger(self, monkeypatch):
+        # components that silently receive every row must not pass as merged
+        def unreduced(x, plan, mode=MODE_MERGE):
+            rows = np.arange(plan.n_tokens)
+            return MergedTokens(np.asarray(x), np.ones(plan.n_tokens, np.int64), plan, rows, rows,
+                                MODE_MERGE)
+
+        monkeypatch.setattr(unet, "reduce_tokens", unreduced)
+        with pytest.raises(AggregationError, match="ledger"):
+            execute_run(small_harness(ratio=0.5))
 
     def test_report_embeds_config_and_digest(self):
         output = execute_run(small_harness(ratio=0.5, seed=1))

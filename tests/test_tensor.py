@@ -11,12 +11,9 @@ from tomebench.tensor import (
     FlopCounter,
     NonFiniteError,
     ShapeError,
-    TokenIndexError,
     count_matmul_flops,
-    gather_rows,
     layernorm_rows,
     matmul,
-    scatter_add_rows,
     softmax_rows,
 )
 
@@ -105,47 +102,3 @@ class TestLayernormRows:
         v = a.astype(np.float64).var(axis=1)
         expected = v / (v + 1e-5)
         assert np.all(np.abs(out.var(axis=1) - expected) <= 1e-3)
-
-
-class TestGatherScatter:
-    def test_gather_order(self):
-        a = np.array([[0.0], [1.0], [2.0]], dtype=DTYPE)
-        assert np.array_equal(gather_rows(a, [2, 0]), [[2.0], [0.0]])
-
-    def test_gather_out_of_range(self):
-        a = np.zeros((3, 2), DTYPE)
-        with pytest.raises(TokenIndexError):
-            gather_rows(a, [3])
-        with pytest.raises(TokenIndexError):
-            gather_rows(a, [-1])
-
-    def test_scatter_duplicate_accumulation(self):
-        out = scatter_add_rows(np.zeros((1, 1), DTYPE), [0, 0], [[1.0], [2.0]])
-        assert out[0, 0] == 3.0
-
-    def test_scatter_is_pure(self):
-        a = np.zeros((2, 1), DTYPE)
-        scatter_add_rows(a, [0], [[5.0]])
-        assert np.array_equal(a, np.zeros((2, 1), DTYPE))
-
-    def test_scatter_ascending_order_matches_loop(self, nprng):
-        # adversarial magnitudes make accumulation order observable
-        idx = nprng.integers(0, 4, 64)
-        src = (nprng.standard_normal((64, 3)) * np.exp(nprng.uniform(-20, 20, (64, 1)))).astype(DTYPE)
-        got = scatter_add_rows(np.zeros((4, 3), DTYPE), idx, src)
-        ref = np.zeros((4, 3), DTYPE)
-        for pos in range(64):
-            ref[idx[pos]] += src[pos]
-        assert np.array_equal(got, ref)
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.integers(0, 9), min_size=1, max_size=30), st.randoms(use_true_random=False))
-    def test_unit_rows_make_count_vector(self, idx, rnd):
-        ones = np.ones((len(idx), 1), dtype=DTYPE)
-        counts = scatter_add_rows(np.zeros((10, 1), DTYPE), idx, ones)[:, 0]
-        expected = np.bincount(idx, minlength=10).astype(DTYPE)
-        assert np.array_equal(counts, expected)
-        shuffled = list(idx)
-        rnd.shuffle(shuffled)
-        counts2 = scatter_add_rows(np.zeros((10, 1), DTYPE), shuffled, ones)[:, 0]
-        assert np.array_equal(counts, counts2)

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from tomebench import RunTrace, ToMeConfig, UNetSpec, init_unet
+from tomebench import ConfigError, RunTrace, ToMeConfig, UNetSpec, init_unet
 from tomebench.grid import GridShape, TokenGrid
 from tomebench.tensor import DTYPE, ShapeError
-from tomebench.unet import BlockConfig, block_config_from
+from tomebench.unet import merged_token_counts
 
 
 def grid_for(spec, batch=1, seed=0):
@@ -122,23 +122,13 @@ class TestBlockMerging:
             assert record.r == int(0.5 * n)
             assert record.merged_token_count == n - record.r
 
-    def test_identical_tokens_match_plain_block(self):
-        spec = UNetSpec(scales=((2, 2, 1),), channels=8, heads=2, prompt_tokens=2, weight_seed=3)
+    @pytest.mark.parametrize("side,seed", [(2, 5), (4, 6)])
+    def test_identical_tokens_match_plain_forward(self, side, seed):
+        spec = UNetSpec(scales=((side, side, 1),), channels=8, heads=2, prompt_tokens=2,
+                        weight_seed=3)
         model = init_unet(spec)
-        row = np.random.default_rng(5).standard_normal(8).astype(DTYPE)
-        grid = TokenGrid(GridShape(1, 2, 2), np.tile(row, (1, 4, 1)))
-        tome = ToMeConfig(ratio=0.5, apply_self=True, apply_cross=True, apply_mlp=True,
-                          min_tokens=1, seed=0)
-        plain = model.block_forward(grid, model.prompt_embedding, block_config_from(None, spec), None)
-        merged = model.block_forward(grid, model.prompt_embedding, block_config_from(tome, spec),
-                                     tome, ratio=0.5)
-        assert np.array_equal(plain.values, merged.values)
-
-    def test_identical_tokens_match_plain_forward_4x4(self):
-        spec = UNetSpec(scales=((4, 4, 1),), channels=8, heads=2, prompt_tokens=2, weight_seed=3)
-        model = init_unet(spec)
-        row = np.random.default_rng(6).standard_normal(8).astype(DTYPE)
-        grid = TokenGrid(GridShape(1, 4, 4), np.tile(row, (1, 16, 1)))
+        row = np.random.default_rng(seed).standard_normal(8).astype(DTYPE)
+        grid = TokenGrid(GridShape(1, side, side), np.tile(row, (1, side * side, 1)))
         tome = ToMeConfig(ratio=0.5, apply_self=True, apply_cross=True, apply_mlp=True,
                           min_tokens=1, seed=0)
         plain = model.forward(grid, model.prompt_embedding, tome=None)
@@ -195,15 +185,33 @@ class TestBlockMerging:
         )
 
 
-class TestBlockConfig:
-    def test_min_tokens_validation(self):
-        with pytest.raises(ShapeError):
-            BlockConfig(min_tokens=0)
+class TestMergedTokenCounts:
+    # tiny_spec blocks in forward order: two 8x8 (64 tokens), then two 4x4 (16)
+    def test_default_floor_is_top_scale_only(self, tiny_spec):
+        tome = ToMeConfig(ratio=0.5, min_tokens=None)
+        assert merged_token_counts(tiny_spec, tome, 0.5) == (32, 32, None, None)
 
-    def test_resolution_from_tome(self, tiny_spec):
-        cfg = block_config_from(ToMeConfig(ratio=0.3, min_tokens=None), tiny_spec)
-        assert cfg.min_tokens == tiny_spec.top_tokens
-        cfg = block_config_from(ToMeConfig(ratio=0.3, min_tokens=5), tiny_spec)
-        assert cfg.min_tokens == 5
-        cfg = block_config_from(None, tiny_spec)
-        assert not (cfg.apply_self_attn or cfg.apply_cross_attn or cfg.apply_mlp)
+    def test_explicit_floor(self, tiny_spec):
+        tome = ToMeConfig(ratio=0.5, min_tokens=1)
+        assert merged_token_counts(tiny_spec, tome, 0.5) == (32, 32, 8, 8)
+        tome = ToMeConfig(ratio=0.5, min_tokens=65)
+        assert merged_token_counts(tiny_spec, tome, 0.5) == (None,) * 4
+        with pytest.raises(ConfigError, match="min_tokens"):
+            ToMeConfig(min_tokens=0)
+
+    def test_floor_is_inclusive(self, tiny_spec):
+        assert merged_token_counts(tiny_spec, ToMeConfig(min_tokens=16), 0.5) == (32, 32, 8, 8)
+        assert merged_token_counts(tiny_spec, ToMeConfig(min_tokens=17), 0.5) == (
+            32, 32, None, None)
+        assert merged_token_counts(tiny_spec, ToMeConfig(min_tokens=64), 0.5) == (
+            32, 32, None, None)
+
+    def test_ratio_zero_or_no_policy_merges_nothing(self, tiny_spec):
+        assert merged_token_counts(tiny_spec, ToMeConfig(ratio=0.0, min_tokens=1), 0.0) == (
+            None,) * 4
+        assert merged_token_counts(tiny_spec, None, 0.5) == (None,) * 4
+
+    def test_ratio_removing_no_token_still_merges(self, tiny_spec):
+        # floor(0.01 * 64) == floor(0.01 * 16) == 0: eligible, with every token kept
+        tome = ToMeConfig(ratio=0.01, min_tokens=1)
+        assert merged_token_counts(tiny_spec, tome, 0.01) == (64, 64, 16, 16)
