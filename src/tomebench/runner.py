@@ -36,7 +36,7 @@ def build_schedule(harness: HarnessConfig) -> Schedule:
 
 
 def validate_capacity(harness: HarnessConfig) -> None:
-    """Reject ratios the src set cannot supply, naming the feasible bound."""
+    """Reject partitions with an empty side and ratios the src set cannot supply."""
     tome = harness.tome
     spec = build_spec(harness)
     for (_, h, w), merged in zip(spec.block_dims(),
@@ -44,7 +44,13 @@ def validate_capacity(harness: HarnessConfig) -> None:
         if merged is None:
             continue
         n = h * w
-        src = n - expected_dst_count(GridShape(1, h, w), tome.partition)
+        dst = expected_dst_count(GridShape(1, h, w), tome.partition)
+        if not 0 < dst < n:
+            raise ConfigError(
+                f"field 'partition': {tome.partition.spec_string()} puts {dst} of the {n} "
+                f"tokens of the {h}x{w} grid in the dst set, leaving an empty src or dst set"
+            )
+        src = n - dst
         r = n - merged
         if r > src:
             raise ConfigError(
@@ -70,18 +76,38 @@ class RunOutput:
     trace: RunTrace
 
 
-def execute_run(harness: HarnessConfig, model: UNetModel | None = None) -> RunOutput:
-    """Run the configured denoise (and its baseline when comparison is on)."""
+def baseline_key(harness: HarnessConfig) -> tuple:
+    """The inputs that determine the unmerged denoise of a run.
+
+    Runs with equal keys have bit-identical baselines: the model comes from
+    the spec, the start latent from the spec and seed, and an unmerged denoise
+    reads neither the ratio schedule nor any other merge setting. The guidance
+    scale enters as its hex form, which keeps 0.0 and -0.0 apart.
+    """
+    return (build_spec(harness), harness.tome.seed, harness.steps,
+            float(harness.guidance_scale).hex())
+
+
+def execute_run(harness: HarnessConfig, model: UNetModel | None = None,
+                baselines: dict[tuple, TokenGrid] | None = None) -> RunOutput:
+    """Run the configured denoise (and its baseline when comparison is on).
+
+    `baselines` memoizes baseline finals by `baseline_key`; a hit skips the
+    unmerged denoise. Baseline finals are read-only, since runs may share them.
+    """
     resolve(harness)
     spec = build_spec(harness)
     schedule = build_schedule(harness)
     if model is None:
         model = init_unet(spec)
+    if baselines is None:
+        baselines = {}
     tome = harness.tome
     noise = make_init_noise(spec, tome.seed)
 
     trace = RunTrace()
-    active_tome = tome if tome.max_ratio() > 0.0 else None
+    merges = any(m is not None for m in merged_token_counts(spec, tome, tome.max_ratio()))
+    active_tome = tome if merges else None
     final = denoise(model, noise, schedule, active_tome, harness.guidance_scale, trace)
 
     baseline_final = None
@@ -90,7 +116,12 @@ def execute_run(harness: HarnessConfig, model: UNetModel | None = None) -> RunOu
         if active_tome is None:
             baseline_final = final
         else:
-            baseline_final = denoise(model, noise, schedule, None, harness.guidance_scale)
+            key = baseline_key(harness)
+            if key not in baselines:
+                computed = denoise(model, noise, schedule, None, harness.guidance_scale)
+                computed.values.flags.writeable = False
+                baselines[key] = computed
+            baseline_final = baselines[key]
         errors = compare_to_baseline(baseline_final, final)
 
     report = aggregate(harness, spec, schedule, trace, errors)
@@ -168,17 +199,25 @@ def sweep_points(base: HarnessConfig, ratios: list[float] | None = None,
 
 
 def run_sweep(points: list[HarnessConfig], out_dir: str | Path) -> list[RunOutput]:
-    """Execute sweep points one at a time, sharing one model per geometry."""
+    """Execute sweep points one at a time, sharing one model per geometry.
+
+    Every point is validated before the first denoise. Each distinct baseline
+    (see `baseline_key`) is computed once and shared by the points that need it;
+    the memo lives for this call only.
+    """
+    for point in points:
+        resolve(point)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     models: dict[UNetSpec, UNetModel] = {}
+    baselines: dict[tuple, TokenGrid] = {}
     outputs = []
     for point in points:
         spec = build_spec(point)
         if spec not in models:
             models[spec] = init_unet(spec)
-        outputs.append(execute_run(point, models[spec]))
+        outputs.append(execute_run(point, models[spec], baselines))
 
     for i, output in enumerate(outputs):
         point_dir = out_dir / f"point_{i:03d}"

@@ -130,6 +130,8 @@ class TestExitCodes:
         ("guidance = nan", "guidance_scale"),
         ("guidance = inf", "guidance_scale"),
         ("apply = ,", "apply"),
+        ("partition = rand:0.01\nmin_tokens = 1", "partition"),  # 0 of 16 dst on 4x4
+        ("partition = rand:0.995\nratio = 0.01", "partition"),  # 64 of 64 dst on 8x8, r = 0
     ])
     def test_bad_model_fields_exit_1_before_compute(self, tmp_path, capsys, line, field):
         cfg = tmp_path / "bad.cfg"

@@ -10,7 +10,7 @@ from tomebench.config import (
     load_config_file,
 )
 from tomebench.partition import PartitionScheme
-from tomebench.runner import validate_capacity
+from tomebench.runner import resolve, validate_capacity
 
 
 class TestDefaults:
@@ -61,16 +61,27 @@ class TestValidation:
         ("guidance", "inf", "guidance_scale"),
         ("guidance", "-inf", "guidance_scale"),
         ("apply", ",", "apply"),
+        ("partition", "rand:0.0004", "partition"),  # 0 of 1024 dst on 32x32
     ])
     def test_runtime_holes_are_config_errors(self, key, text, field):
         with pytest.raises(ConfigError, match=field):
-            harness_from_mapping({key: text})
+            resolve(harness_from_mapping({key: text}))
 
     def test_capacity_bound_in_message(self):
         harness = HarnessConfig(latent=(8, 8), num_scales=2, channels=16,
                                 tome=ToMeConfig(ratio=0.6, partition=PartitionScheme.alternating()))
         with pytest.raises(ConfigError, match="feasible ratio is 0.5"):
             validate_capacity(harness)
+
+    @pytest.mark.parametrize("tome,side", [
+        (ToMeConfig(partition=PartitionScheme.random(0.01), min_tokens=1),
+         "0 of the 16 tokens of the 4x4"),
+        (ToMeConfig(ratio=0.001, partition=PartitionScheme.random(0.999)),  # r = 0
+         "256 of the 256 tokens of the 16x16"),
+    ])
+    def test_empty_partition_side(self, tome, side):
+        with pytest.raises(ConfigError, match=f"field 'partition'.* {side} grid"):
+            validate_capacity(HarnessConfig(latent=(16, 16), tome=tome))
 
     def test_capacity_ok_with_rand2x2(self):
         harness = HarnessConfig(latent=(8, 8), num_scales=2, channels=16,
