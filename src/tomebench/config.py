@@ -13,16 +13,26 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import Any, Callable
 
 from .partition import PartitionScheme
 
 REPORT_SCHEMA = "tomebench-report/1"
 
 _APPLY_NAMES = ("self", "cross", "mlp")
+_MAX_BLOCKS_PER_SCALE = 1024
 
 
 class ConfigError(ValueError):
-    """A configuration field failed to parse or validate."""
+    """A configuration value failed to parse or validate.
+
+    `field` is the key as the user writes it (`guidance`, not `guidance_scale`),
+    or None for a config-file line that names no key.
+    """
+
+    def __init__(self, field: str | None, message: str):
+        super().__init__(message if field is None else f"field '{field}': {message}")
+        self.field = field
 
 
 @dataclass(frozen=True)
@@ -50,13 +60,13 @@ class ToMeConfig:
         for name in ("ratio", "ratio_start", "ratio_end"):
             value = getattr(self, name)
             if value is not None and not 0.0 <= value < 1.0:
-                raise ConfigError(f"{name} must be in [0, 1), got {value}")
+                raise ConfigError(name, f"must be in [0, 1), got {value}")
         if self.min_tokens is not None and self.min_tokens < 1:
-            raise ConfigError(f"min_tokens must be >= 1, got {self.min_tokens}")
+            raise ConfigError("min_tokens", f"must be >= 1 or top, got {self.min_tokens}")
         if not 0 <= self.seed < 2**64:
-            raise ConfigError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
+            raise ConfigError("seed", f"must be a 64-bit unsigned integer, got {self.seed}")
         if not self.enabled_components():
-            raise ConfigError("apply must name at least one component of self,cross,mlp")
+            raise ConfigError("apply", "must name at least one component of self,cross,mlp")
 
     def min_tokens_for(self, top_tokens: int) -> int:
         """The block token-count floor; min_tokens=None means the top scale only."""
@@ -70,6 +80,12 @@ class ToMeConfig:
 
     def max_ratio(self) -> float:
         return max(self.schedule_endpoints())
+
+    def max_ratio_key(self) -> str:
+        """The key whose value is `max_ratio()`: an explicit endpoint, else `ratio`."""
+        start, end = self.schedule_endpoints()
+        key = "ratio_end" if end >= start else "ratio_start"
+        return key if getattr(self, key) is not None else "ratio"
 
     def enabled_components(self) -> tuple[str, ...]:
         return tuple(
@@ -100,65 +116,107 @@ class HarnessConfig:
 
     def __post_init__(self):
         h, w = self.latent
-        if h < 1 or w < 1:
-            raise ConfigError(f"latent dims must be >= 1, got {h}x{w}")
+        if h < 1 or w < 1 or h * w >= 2**63:
+            raise ConfigError("latent", f"dims must be >= 1 with h*w < 2^63, got {h}x{w}")
+        # Each scale halves the grid, so this bounds 2 ** (num_scales - 1) by min(h, w).
+        most = min(h, w).bit_length()
+        if not 1 <= self.num_scales <= most:
+            raise ConfigError(
+                "num_scales", f"must be in [1, {most}] for latent {h}x{w}, got {self.num_scales}"
+            )
         div = 2 ** (self.num_scales - 1)
-        if self.num_scales < 1:
-            raise ConfigError(f"num_scales must be >= 1, got {self.num_scales}")
         if h % div or w % div:
             raise ConfigError(
-                f"latent {h}x{w} not divisible by 2^(num_scales-1)={div}; "
+                "latent", f"{h}x{w} not divisible by 2^(num_scales-1)={div}; "
                 f"shrink num_scales or change latent"
             )
-        if self.blocks_per_scale < 1:
-            raise ConfigError(f"blocks_per_scale must be >= 1, got {self.blocks_per_scale}")
+        # Validation and the model walk every block; the cap keeps both finite.
+        if not 1 <= self.blocks_per_scale <= _MAX_BLOCKS_PER_SCALE:
+            raise ConfigError("blocks_per_scale", f"must be in [1, {_MAX_BLOCKS_PER_SCALE}], "
+                              f"got {self.blocks_per_scale}")
         if self.channels < 2:
-            raise ConfigError(f"channels must be >= 2, got {self.channels}")
+            raise ConfigError("channels", f"must be >= 2, got {self.channels}")
         if self.heads < 1:
-            raise ConfigError(f"heads must be >= 1, got {self.heads}")
+            raise ConfigError("heads", f"must be >= 1, got {self.heads}")
         if self.channels % self.heads:
-            raise ConfigError(f"channels {self.channels} not divisible by heads {self.heads}")
+            raise ConfigError("channels", f"{self.channels} not divisible by heads {self.heads}")
         if self.prompt_tokens < 1:
-            raise ConfigError(f"prompt_tokens must be >= 1, got {self.prompt_tokens}")
+            raise ConfigError("prompt_tokens", f"must be >= 1, got {self.prompt_tokens}")
         if self.steps < 1:
-            raise ConfigError(f"steps must be >= 1, got {self.steps}")
+            raise ConfigError("steps", f"must be >= 1, got {self.steps}")
         if not 0 <= self.weight_seed < 2**64:
             raise ConfigError(
-                f"weight_seed must be a 64-bit unsigned integer, got {self.weight_seed}"
+                "weight_seed", f"must be a 64-bit unsigned integer, got {self.weight_seed}"
             )
         if not math.isfinite(self.guidance_scale):
-            raise ConfigError(f"guidance_scale must be finite, got {self.guidance_scale}")
+            raise ConfigError("guidance", f"must be finite, got {self.guidance_scale}")
         if self.report_format not in ("json", "csv"):
-            raise ConfigError(f"format must be json or csv, got {self.report_format!r}")
+            raise ConfigError("format", f"must be json or csv, got {self.report_format!r}")
 
     def scale_dims(self) -> tuple[tuple[int, int], ...]:
         h, w = self.latent
         return tuple((h >> i, w >> i) for i in range(self.num_scales))
 
 
-def _parse_bool(text: str, key: str) -> bool:
+def _parse_bool(text: str) -> bool:
     lowered = text.strip().lower()
     if lowered in ("true", "1", "yes", "on"):
         return True
     if lowered in ("false", "0", "no", "off"):
         return False
-    raise ConfigError(f"field {key!r}: expected a boolean, got {text!r}")
+    raise ValueError(text)
 
 
-def _parse_hw(text: str, key: str) -> tuple[int, int]:
-    try:
-        h, w = (int(p) for p in text.lower().split("x"))
-    except ValueError:
-        raise ConfigError(f"field {key!r}: expected HxW, got {text!r}")
+def _parse_hw(text: str) -> tuple[int, int]:
+    h, w = (int(p) for p in text.lower().split("x"))
     return h, w
 
 
-def _parse_apply(text: str) -> tuple[bool, bool, bool]:
-    parts = [p.strip() for p in text.split(",") if p.strip()]
-    for p in parts:
-        if p not in _APPLY_NAMES:
-            raise ConfigError(f"field 'apply': unknown component {p!r}, expected self,cross,mlp")
-    return ("self" in parts, "cross" in parts, "mlp" in parts)
+def _parse_apply(text: str) -> tuple[bool, ...]:
+    parts = {p.strip() for p in text.split(",") if p.strip()}
+    if not parts <= set(_APPLY_NAMES):
+        raise ValueError(text)
+    return tuple(name in parts for name in _APPLY_NAMES)
+
+
+def _parser(convert: Callable[[str], Any], expected: str) -> Callable[[str, str], Any]:
+    """`convert` as a key parser: a ValueError becomes a ConfigError naming the key."""
+
+    def parse(key: str, text: str):
+        try:
+            return convert(text)
+        except ValueError:
+            raise ConfigError(key, f"expected {expected}, got {text!r}") from None
+
+    return parse
+
+
+parse_int = _parser(int, "an integer")
+parse_float = _parser(float, "a number")
+_parse_flag = _parser(_parse_bool, "true or false")
+
+# Every key a config file, a flag or a sweep axis may set, with its parser.
+_PARSERS = {
+    **dict.fromkeys(("channels", "heads", "prompt_tokens", "num_scales", "blocks_per_scale",
+                     "weight_seed", "steps", "seed"), parse_int),
+    **dict.fromkeys(("ratio", "ratio_start", "ratio_end", "guidance"), parse_float),
+    **dict.fromkeys(("batch_fix", "prune", "compare_baseline", "viz_partition",
+                     "share_guidance_edges"), _parse_flag),
+    "partition": _parser(PartitionScheme.parse,
+                         "alt | strided:SYxSX | rand:F with 0 < F < 1 | rand2x2"),
+    "apply": _parser(_parse_apply, "a comma list of self,cross,mlp"),
+    "min_tokens": _parser(lambda text: None if text.strip() == "top" else int(text),
+                          "an integer or top"),
+    "latent": _parser(_parse_hw, "HxW"),
+    "out": _parser(str, "a directory"),
+    "format": _parser(str.strip, "json or csv"),
+}
+# Keys that set the ToMeConfig field of the same name. `partition` and
+# `batch_fix` combine into one scheme, `apply` sets three flags, and every
+# other key sets a HarnessConfig field, renamed where _HARNESS_FIELDS says.
+_TOME_KEYS = ("ratio", "ratio_start", "ratio_end", "min_tokens", "seed", "prune",
+              "share_guidance_edges")
+_HARNESS_FIELDS = {"guidance": "guidance_scale", "out": "out_dir", "format": "report_format"}
 
 
 def load_config_file(path: str | Path) -> dict[str, str]:
@@ -169,89 +227,38 @@ def load_config_file(path: str | Path) -> dict[str, str]:
         if not line:
             continue
         if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
+            raise ConfigError(None, f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
+        key = key.replace("-", "_")
         if not key or not value:
-            raise ConfigError(f"{path}:{lineno}: empty key or value in {raw!r}")
-        mapping[key.replace("-", "_")] = value
+            raise ConfigError(key or None, f"{path}:{lineno}: empty key or value in {raw!r}")
+        mapping[key] = value
     return mapping
-
-
-_INT_KEYS = {
-    "channels", "heads", "prompt_tokens", "num_scales", "blocks_per_scale",
-    "weight_seed", "steps", "seed",
-}
-_FLOAT_KEYS = {"ratio", "ratio_start", "ratio_end", "guidance"}
-_BOOL_KEYS = {
-    "batch_fix", "prune", "compare_baseline", "viz_partition", "share_guidance_edges",
-}
-_OTHER_KEYS = {"partition", "apply", "min_tokens", "latent", "out", "format"}
 
 
 def harness_from_mapping(mapping: dict[str, str], base: HarnessConfig | None = None) -> HarnessConfig:
     """Build a HarnessConfig from raw string settings, starting from `base`.
 
-    Raises ConfigError naming the offending field on any problem.
+    The one parser of user-supplied values: config-file lines, flags and
+    sweep-axis items all come through here. Raises ConfigError naming the
+    offending key on any problem.
     """
     cfg = base if base is not None else HarnessConfig()
-    tome = cfg.tome
-    harness_updates: dict = {}
-    tome_updates: dict = {}
-
+    values = {}
     for key, text in mapping.items():
-        try:
-            if key in _INT_KEYS:
-                value = int(text)
-                if key == "seed":
-                    tome_updates["seed"] = value
-                else:
-                    harness_updates[key] = value
-            elif key in _FLOAT_KEYS:
-                value = float(text)
-                if key == "guidance":
-                    harness_updates["guidance_scale"] = value
-                else:
-                    tome_updates[key] = value
-            elif key in _BOOL_KEYS:
-                value = _parse_bool(text, key)
-                if key == "batch_fix":
-                    tome_updates["partition"] = tome_updates.get(
-                        "partition", tome.partition
-                    ).with_batch_fix(value)
-                elif key in ("prune", "share_guidance_edges"):
-                    tome_updates[key] = value
-                else:
-                    harness_updates[key] = value
-            elif key == "partition":
-                batch_fix = tome_updates.get("partition", tome.partition).batch_fix
-                tome_updates["partition"] = PartitionScheme.parse(text, batch_fix)
-            elif key == "apply":
-                sf, cr, ml = _parse_apply(text)
-                tome_updates.update(apply_self=sf, apply_cross=cr, apply_mlp=ml)
-            elif key == "min_tokens":
-                tome_updates["min_tokens"] = None if text.strip() == "top" else int(text)
-            elif key == "latent":
-                harness_updates["latent"] = _parse_hw(text, key)
-            elif key == "out":
-                harness_updates["out_dir"] = text
-            elif key == "format":
-                harness_updates["report_format"] = text.strip()
-            else:
-                raise ConfigError(f"unknown configuration field {key!r}")
-        except ConfigError:
-            raise
-        except ValueError as exc:
-            raise ConfigError(f"field {key!r}: {exc}") from exc
+        if key not in _PARSERS:
+            raise ConfigError(key, "unknown configuration field")
+        values[key] = _PARSERS[key](key, text)
 
-    if tome_updates:
-        try:
-            tome = replace(tome, **tome_updates)
-        except ConfigError as exc:
-            raise ConfigError(str(exc)) from exc
-    try:
-        return replace(cfg, tome=tome, **harness_updates)
-    except ConfigError:
-        raise
+    tome_updates = {key: values.pop(key) for key in _TOME_KEYS if key in values}
+    if "apply" in values:
+        tome_updates.update(zip(("apply_self", "apply_cross", "apply_mlp"), values.pop("apply")))
+    if "partition" in values or "batch_fix" in values:
+        scheme = values.pop("partition", cfg.tome.partition)
+        batch_fix = values.pop("batch_fix", cfg.tome.partition.batch_fix)
+        tome_updates["partition"] = scheme.with_batch_fix(batch_fix)
+    tome = replace(cfg.tome, **tome_updates)
+    return replace(cfg, tome=tome, **{_HARNESS_FIELDS.get(k, k): v for k, v in values.items()})
 
 
 def config_dict(cfg: HarnessConfig) -> dict:

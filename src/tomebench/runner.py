@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .config import ConfigError, HarnessConfig, config_dict
+from .config import ConfigError, HarnessConfig, config_dict, harness_from_mapping
 from .diffusion import ErrorMetrics, Schedule, compare_to_baseline, denoise, make_init_noise
 from .grid import GridShape, TokenGrid
 from .matching import build_merge_plan, export_edge_list
@@ -35,26 +36,34 @@ def build_schedule(harness: HarnessConfig) -> Schedule:
     return Schedule(harness.steps, start, end)
 
 
+def check_partition_sides(partition: PartitionScheme, h: int, w: int) -> int:
+    """The src count of `partition` on an h x w grid; an empty side is a ConfigError."""
+    n = h * w
+    dst = expected_dst_count(GridShape(1, h, w), partition)
+    if not 0 < dst < n:
+        raise ConfigError(
+            "partition", f"{partition.spec_string()} puts {dst} of the {n} tokens of the "
+            f"{h}x{w} grid in the dst set, leaving an empty src or dst set"
+        )
+    return n - dst
+
+
 def validate_capacity(harness: HarnessConfig) -> None:
-    """Reject partitions with an empty side and ratios the src set cannot supply."""
+    """Reject empty partition sides on merging or rendered grids, and infeasible ratios."""
     tome = harness.tome
     spec = build_spec(harness)
+    if harness.viz_partition:
+        check_partition_sides(tome.partition, *harness.latent)
     for (_, h, w), merged in zip(spec.block_dims(),
                                  merged_token_counts(spec, tome, tome.max_ratio())):
         if merged is None:
             continue
         n = h * w
-        dst = expected_dst_count(GridShape(1, h, w), tome.partition)
-        if not 0 < dst < n:
-            raise ConfigError(
-                f"field 'partition': {tome.partition.spec_string()} puts {dst} of the {n} "
-                f"tokens of the {h}x{w} grid in the dst set, leaving an empty src or dst set"
-            )
-        src = n - dst
+        src = check_partition_sides(tome.partition, h, w)
         r = n - merged
         if r > src:
             raise ConfigError(
-                f"field 'ratio': r={r} exceeds the {src}-token src set of the {h}x{w} "
+                tome.max_ratio_key(), f"r={r} exceeds the {src}-token src set of the {h}x{w} "
                 f"grid under partition {tome.partition.spec_string()}; "
                 f"largest feasible ratio is {src / n:.4f}"
             )
@@ -178,24 +187,20 @@ def write_run_artifacts(output: RunOutput, out_dir: str | Path) -> dict[str, Pat
     return written
 
 
-def sweep_points(base: HarnessConfig, ratios: list[float] | None = None,
-                 partitions: list[str] | None = None,
-                 seeds: list[int] | None = None) -> list[HarnessConfig]:
-    """Cartesian product of the requested sweep axes over a base config."""
-    points = [base]
+def sweep_points(base: HarnessConfig, axes: dict[str, list[str]]) -> list[HarnessConfig]:
+    """One config per combination of axis values; the first axis varies slowest.
 
-    def vary(configs, values, apply):
+    Each point is `base` with one raw value per axis key, parsed by
+    `harness_from_mapping` like a config-file line. A ratio axis replaces any
+    ratio_start/ratio_end schedule of `base` with its constant ratio.
+    """
+    for key, values in axes.items():
         if not values:
-            return configs
-        return [apply(cfg, v) for cfg in configs for v in values]
-
-    points = vary(points, ratios, lambda cfg, r: replace(
-        cfg, tome=replace(cfg.tome, ratio=r, ratio_start=None, ratio_end=None)))
-    points = vary(points, partitions, lambda cfg, p: replace(
-        cfg, tome=replace(cfg.tome, partition=PartitionScheme.parse(
-            p, cfg.tome.partition.batch_fix))))
-    points = vary(points, seeds, lambda cfg, s: replace(cfg, tome=replace(cfg.tome, seed=s)))
-    return points
+            raise ConfigError(key, "sweep axis names no value")
+    if "ratio" in axes:
+        base = replace(base, tome=replace(base.tome, ratio_start=None, ratio_end=None))
+    return [harness_from_mapping(dict(zip(axes, point)), base)
+            for point in itertools.product(*axes.values())]
 
 
 def run_sweep(points: list[HarnessConfig], out_dir: str | Path) -> list[RunOutput]:

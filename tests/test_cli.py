@@ -17,6 +17,16 @@ def run_cli(args, capsys=None):
     return code
 
 
+@pytest.fixture
+def no_compute(monkeypatch):
+    """Fail any test that builds a U-Net or draws a partition."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("compute started")
+
+    monkeypatch.setattr("tomebench.runner.init_unet", refuse)
+    monkeypatch.setattr("tomebench.cli.make_partition", refuse)
+
+
 class TestRun:
     def test_writes_report_and_timing(self, tmp_path):
         out = tmp_path / "r1"
@@ -74,6 +84,15 @@ class TestRun:
         assert len(edges) == 32  # floor(0.5 * 64)
         assert all(len(line.split()) == 2 for line in edges)
 
+    def test_min_tokens_top_flag_equals_config_file(self, tmp_path):
+        cfg = tmp_path / "top.cfg"
+        cfg.write_text("latent = 8x8\nsteps = 2\nmin_tokens = top\n")
+        out_flag, out_file = tmp_path / "flag", tmp_path / "file"
+        assert main(["run", "--latent", "8x8", "--steps", "2", "--min-tokens", "top",
+                     "--out", str(out_flag)]) == 0
+        assert main(["run", "--config", str(cfg), "--out", str(out_file)]) == 0
+        assert (out_flag / "report.json").read_bytes() == (out_file / "report.json").read_bytes()
+
 
 class TestDeterminism:
     def test_byte_identical_reports(self, tmp_path):
@@ -127,18 +146,55 @@ class TestExitCodes:
     @pytest.mark.parametrize("line,field", [
         ("heads = 0", "heads"),
         ("weight_seed = -1", "weight_seed"),
-        ("guidance = nan", "guidance_scale"),
-        ("guidance = inf", "guidance_scale"),
+        ("guidance = nan", "guidance"),
+        ("guidance = inf", "guidance"),
         ("apply = ,", "apply"),
         ("partition = rand:0.01\nmin_tokens = 1", "partition"),  # 0 of 16 dst on 4x4
         ("partition = rand:0.995\nratio = 0.01", "partition"),  # 64 of 64 dst on 8x8, r = 0
+        ("num_scales = 1000000", "num_scales"),
+        ("ratio_start = 0.5\nratio_end = 0.99\npartition = alt", "ratio_end"),
     ])
     def test_bad_model_fields_exit_1_before_compute(self, tmp_path, capsys, line, field):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(f"latent = 8x8\nsteps = 1\n{line}\n")
         out = tmp_path / "x"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
-        assert field in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(f"configuration error: field '{field}':")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv,field", [
+        ("run --ratio abc", "ratio"),
+        ("run --format xml", "format"),
+        ("run --steps 2.5", "steps"),
+        ("run --min-tokens 0x4", "min_tokens"),
+        ("sweep --seed a,b", "seed"),
+        ("sweep --seed ,", "seed"),  # an axis that names no value
+        ("sweep --ratio 0.2,x", "ratio"),
+        ("sweep --ratio 0.5:0.1:0.1", "ratio"),  # an empty range
+        ("sweep --ratio 0:inf:0.1", "ratio"),  # an unbounded range
+        ("sweep --partition rand2x2,bogus", "partition"),
+        # 0 of 64 dst on the rendered top grid, at a ratio that merges no block
+        ("run --ratio 0 --partition rand:0.001 --viz-partition", "partition"),
+    ])
+    def test_bad_flags_exit_1_before_compute(self, tmp_path, capsys, no_compute, argv, field):
+        out = tmp_path / "x"
+        command, *flags = argv.split()
+        assert main([command, "--latent", "8x8", "--steps", "1", *flags, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"configuration error: field '{field}':")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags,field", [
+        ("--seed x", "seed"),
+        ("--seed -1", "seed"),
+        ("--batch 0", "batch"),
+        ("--latent 8", "latent"),
+    ])
+    def test_bad_viz_flags_exit_1_before_compute(self, tmp_path, capsys, no_compute, flags,
+                                                 field):
+        out = tmp_path / "x"
+        argv = ["viz", "--partition", "alt", "--latent", "8x8", *flags.split(), "--out", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith(f"configuration error: field '{field}':")
         assert not out.exists()
 
     def test_io_error_is_runtime(self, tmp_path, capsys):

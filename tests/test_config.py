@@ -10,7 +10,7 @@ from tomebench.config import (
     load_config_file,
 )
 from tomebench.partition import PartitionScheme
-from tomebench.runner import resolve, validate_capacity
+from tomebench.runner import build_spec, resolve, validate_capacity
 
 
 class TestDefaults:
@@ -57,15 +57,25 @@ class TestValidation:
         ("heads", "-4", "heads"),
         ("weight_seed", "-1", "weight_seed"),
         ("weight_seed", str(2**64), "weight_seed"),
-        ("guidance", "nan", "guidance_scale"),
-        ("guidance", "inf", "guidance_scale"),
-        ("guidance", "-inf", "guidance_scale"),
+        ("guidance", "nan", "guidance"),
+        ("guidance", "inf", "guidance"),
+        ("guidance", "-inf", "guidance"),
         ("apply", ",", "apply"),
         ("partition", "rand:0.0004", "partition"),  # 0 of 1024 dst on 32x32
+        ("num_scales", "1000000", "num_scales"),
+        ("latent", f"{2**32}x{2**31}", "latent"),  # 2^63 tokens: past any 64-bit index
+        ("blocks_per_scale", "1025", "blocks_per_scale"),
     ])
     def test_runtime_holes_are_config_errors(self, key, text, field):
-        with pytest.raises(ConfigError, match=field):
+        with pytest.raises(ConfigError) as excinfo:
             resolve(harness_from_mapping({key: text}))
+        assert excinfo.value.field == key == field
+        assert str(excinfo.value).startswith(f"field '{field}': ")
+
+    def test_blocks_per_scale_bound_is_inclusive(self):
+        harness = harness_from_mapping({"blocks_per_scale": "1024"})
+        resolve(harness)
+        assert len(build_spec(harness).block_dims()) == 3 * 1024
 
     def test_capacity_bound_in_message(self):
         harness = HarnessConfig(latent=(8, 8), num_scales=2, channels=16,

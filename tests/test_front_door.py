@@ -1,0 +1,74 @@
+"""Property tests for the configuration front door: any user-supplied text is
+either accepted or refused with a ConfigError that names its field."""
+
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tomebench import cli
+from tomebench.config import ConfigError, harness_from_mapping
+from tomebench.runner import execute_run, resolve
+
+ACCEPTED_KEYS = (
+    "latent", "channels", "heads", "prompt_tokens", "num_scales", "blocks_per_scale",
+    "weight_seed", "steps", "guidance", "ratio", "ratio_start", "ratio_end", "partition",
+    "batch_fix", "apply", "min_tokens", "seed", "prune", "share_guidance_edges", "out",
+    "format", "compare_baseline", "viz_partition",
+)
+BOUNDARY_VALUES = (
+    "0", "-1", "nan", "1e400", "18446744073709551616", "top", "1000000", "0x4",
+    "rand:0.995", "strided:1x1", ",",
+)
+VALUE_FLAGS = (
+    "--ratio", "--partition", "--seed", "--ratio-start", "--ratio-end", "--apply",
+    "--min-tokens", "--steps", "--latent", "--out", "--format",
+)
+SWEEP_AXES = ("--ratio", "--partition", "--seed")
+
+values = st.one_of(st.sampled_from(BOUNDARY_VALUES), st.text(max_size=12))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.one_of(st.sampled_from(ACCEPTED_KEYS), st.text(max_size=8)),
+                       values, max_size=6))
+def test_any_mapping_resolves_or_names_its_field(mapping):
+    try:
+        resolve(harness_from_mapping(mapping))
+    except ConfigError as exc:
+        assert exc.field in ACCEPTED_KEYS or exc.field in mapping
+        assert str(exc).startswith(f"field '{exc.field}': ")
+
+
+def test_any_flag_value_exits_0_or_1(monkeypatch, capsys):
+    canned = execute_run(harness_from_mapping({"latent": "8x8", "steps": "1"}))
+
+    def fake_execute_run(harness, *args):
+        resolve(harness)
+        return canned
+
+    def fake_run_sweep(points, out_dir):
+        return [resolve(point) for point in points]
+
+    def fake_write_run_artifacts(output, out_dir):
+        resolve(output.harness)
+        return {"report": Path(out_dir) / "report.json"}
+
+    monkeypatch.setattr(cli, "execute_run", fake_execute_run)
+    monkeypatch.setattr(cli, "run_sweep", fake_run_sweep)
+    monkeypatch.setattr(cli, "write_run_artifacts", fake_write_run_artifacts)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(st.tuples(st.just("run"), st.sampled_from(VALUE_FLAGS)),
+                     st.tuples(st.just("sweep"), st.sampled_from(SWEEP_AXES))),
+           values)
+    def check(command_flag, text):
+        command, flag = command_flag
+        code = cli.main([command, "--latent", "8x8", "--steps", "1", f"{flag}={text}"])
+        err = capsys.readouterr().err
+        assert code in (0, 1), err
+        if code == 1:
+            assert err.startswith("configuration error: field '"), err
+
+    check()
+

@@ -4,7 +4,7 @@ refused before any denoise."""
 import pytest
 
 from tomebench.cli import main
-from tomebench.config import HarnessConfig, ToMeConfig, harness_from_mapping
+from tomebench.config import ConfigError, HarnessConfig, ToMeConfig, harness_from_mapping
 from tomebench.runner import execute_run, run_sweep, sweep_points
 from tomebench.unet import UNetModel
 
@@ -35,9 +35,9 @@ def reuse_points():
     """Ratios x partitions x 2 seeds x 2 guidance values, plus one other weight_seed."""
     points = []
     for guidance in (7.5, 3.0):
-        points += sweep_points(tiny_harness(guidance=guidance), [0.2, 0.4], ["alt", "rand2x2"],
-                               [0, 1])
-    points += sweep_points(tiny_harness(weight_seed=8), [0.3], None, [0, 1])
+        points += sweep_points(tiny_harness(guidance=guidance), {
+            "ratio": ["0.2", "0.4"], "partition": ["alt", "rand2x2"], "seed": ["0", "1"]})
+    points += sweep_points(tiny_harness(weight_seed=8), {"ratio": ["0.3"], "seed": ["0", "1"]})
     return points
 
 
@@ -73,7 +73,7 @@ def test_sweep_reuse_changes_no_result(tmp_path, forward_calls):
 
 
 def test_sweep_memo_lives_for_one_call(tmp_path, forward_calls):
-    points = sweep_points(tiny_harness(), [0.2, 0.4], None, None)
+    points = sweep_points(tiny_harness(), {"ratio": ["0.2", "0.4"]})
     for name in ("a", "b"):
         forward_calls.clear()
         run_sweep(points, tmp_path / name)
@@ -88,3 +88,32 @@ def test_sweep_validates_every_point_before_compute(tmp_path, capsys, forward_ca
     assert "field 'ratio'" in capsys.readouterr().err
     assert forward_calls == []
     assert not out.exists()
+
+
+def test_ratio_axis_replaces_schedule():
+    base = harness_from_mapping({"ratio_start": "0.7", "ratio_end": "0.3"}, tiny_harness())
+    points = sweep_points(base, {"ratio": ["0.2", "0.4"], "seed": ["5", "6"]})
+    assert [(p.tome.schedule_endpoints(), p.tome.seed) for p in points] == [
+        ((0.2, 0.2), 5), ((0.2, 0.2), 6), ((0.4, 0.4), 5), ((0.4, 0.4), 6)]
+    kept = sweep_points(base, {"seed": ["5"]})
+    assert kept[0].tome.schedule_endpoints() == (0.7, 0.3)
+
+
+def test_sweep_axis_items_parse_like_config_lines():
+    base = harness_from_mapping({"batch_fix": "false"}, tiny_harness())
+    (point,) = sweep_points(base, {"partition": ["rand:0.25"]})
+    assert point == harness_from_mapping({"partition": "rand:0.25"}, base)
+    assert point.tome.partition.batch_fix is False
+    assert sweep_points(base, {}) == [base]
+
+
+@pytest.mark.parametrize("axes,field", [
+    ({"seed": []}, "seed"),
+    ({"ratio": ["0.2"], "partition": []}, "partition"),
+    ({"seed": ["1", "x"]}, "seed"),
+    ({"wat": ["1"]}, "wat"),
+])
+def test_bad_sweep_axis_names_its_field(axes, field):
+    with pytest.raises(ConfigError) as excinfo:
+        sweep_points(tiny_harness(), axes)
+    assert excinfo.value.field == field
