@@ -220,9 +220,16 @@ _HARNESS_FIELDS = {"guidance": "guidance_scale", "out": "out_dir", "format": "re
 
 
 def load_config_file(path: str | Path) -> dict[str, str]:
-    """Parse a flat `key = value` file with # comments into raw strings."""
+    """Parse a flat `key = value` file with # comments into raw strings.
+
+    A file that cannot be read as UTF-8 text is a ConfigError naming `config`.
+    """
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError("config", f"cannot read {path}: {exc}") from None
     mapping: dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

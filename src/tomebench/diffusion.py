@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ToMeConfig
+from .config import HarnessConfig, ToMeConfig
 from .grid import GridShape, TokenGrid
 from .rng import StreamRng
 from .tensor import DTYPE, ShapeError
@@ -58,6 +58,11 @@ def ratio_at(schedule: Schedule, step: int) -> float:
         return schedule.ratio_start
     t = step / (schedule.steps - 1)
     return schedule.ratio_start * (1.0 - t) + schedule.ratio_end * t
+
+
+def build_schedule(harness: HarnessConfig) -> Schedule:
+    """The run's schedule: the one source of every step's ratio."""
+    return Schedule(harness.steps, *harness.tome.schedule_endpoints())
 
 
 def make_init_noise(spec: UNetSpec, seed: int) -> TokenGrid:

@@ -13,12 +13,15 @@ the FLOPs issued through the tensor kernel; softmax, scaling, gelu, and
 layernorm use fixed per-element costs.
 
 Merged components evaluate n' = N - floor(ratio * N) tokens; the layernorms
-feeding each component and the residual adds always run at full N.
+feeding each component and the residual adds always run at full N. Every
+count takes the ratio of one evaluation from its caller; over a run, that is
+`ratio_at(schedule, step)` of the run's own schedule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 from .config import ToMeConfig
 from .diffusion import Schedule, ratio_at
@@ -153,18 +156,8 @@ def _component_tokens(
     return rows
 
 
-def flop_count(
-    spec: UNetSpec,
-    tome: ToMeConfig | None,
-    step: int = 0,
-    steps: int = 1,
-) -> list[BlockFlops]:
-    """Per-block FLOP breakdown for one evaluation at a given diffusion step."""
-    if tome is None:
-        ratio = 0.0
-    else:
-        start, end = tome.schedule_endpoints()
-        ratio = ratio_at(Schedule(steps, start, end), step)
+def flop_count(spec: UNetSpec, tome: ToMeConfig | None, ratio: float) -> list[BlockFlops]:
+    """Per-block FLOP breakdown for one evaluation at `ratio`."""
     c, heads, p = spec.channels, spec.heads, spec.prompt_tokens
 
     blocks = []
@@ -236,12 +229,8 @@ def run_flops(
     batch: int = GUIDANCE_BATCH,
 ) -> RunFlops:
     """Analytic FLOPs for a full denoise run of `schedule.steps` evaluations."""
-    acc: list[BlockFlops] | None = None
-    for step in range(schedule.steps):
-        step_blocks = flop_count(spec, tome, step, schedule.steps)
-        acc = step_blocks if acc is None else [
-            _sum_block_flops(a, b) for a, b in zip(acc, step_blocks)
-        ]
+    per_step = [flop_count(spec, tome, ratio_at(schedule, s)) for s in range(schedule.steps)]
+    acc = [reduce(_sum_block_flops, steps) for steps in zip(*per_step)]
     step_overhead = model_overhead_flops(spec)
     overhead = FlopCount(other_linear=step_overhead.other_linear * schedule.steps)
     per_element = sum(b.total for b in acc) + overhead.total
@@ -266,16 +255,8 @@ def _component_peak(n_eval: int, channels: int, heads: int, prompt_tokens: int, 
     return 5 * n_eval * channels  # mlp: 4c hidden plus c output
 
 
-def peak_live_elements(
-    spec: UNetSpec,
-    tome: ToMeConfig | None,
-    ratio: float | None = None,
-) -> int:
-    """Peak live token-matrix elements per batch element (an allocator-free proxy)."""
-    if tome is None:
-        ratio = 0.0
-    elif ratio is None:
-        ratio = tome.max_ratio()
+def peak_live_elements(spec: UNetSpec, tome: ToMeConfig | None, ratio: float) -> int:
+    """Peak live token-matrix elements per batch element at `ratio` (allocator-free proxy)."""
     c, heads, p = spec.channels, spec.heads, spec.prompt_tokens
     peak = 0
     for _, n, _, n_self, n_cross, n_mlp in _component_tokens(spec, tome, ratio):

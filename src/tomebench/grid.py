@@ -58,8 +58,3 @@ class TokenGrid:
     def element(self, b: int) -> np.ndarray:
         """The (tokens, channels) matrix of one batch element."""
         return self.values[b]
-
-    @classmethod
-    def from_values(cls, values: np.ndarray, height: int, width: int) -> "TokenGrid":
-        values = np.asarray(values, dtype=DTYPE)
-        return cls(GridShape(values.shape[0], height, width), values)

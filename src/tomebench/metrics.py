@@ -11,12 +11,12 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .config import REPORT_SCHEMA, HarnessConfig, ToMeConfig, config_dict, config_digest
-from .diffusion import ErrorMetrics, Schedule, ratio_at
+from .diffusion import ErrorMetrics, Schedule, build_schedule, ratio_at
 from .flops import GUIDANCE_BATCH, RunFlops, peak_live_elements, run_flops
-from .unet import RunTrace, UNetSpec, merged_token_counts
+from .unet import RunTrace, UNetSpec, build_spec, merged_token_counts
 
 
 class AggregationError(ValueError):
@@ -36,7 +36,6 @@ class RunReport:
     memory_merged: int
     similarity_computes: int
     errors: ErrorMetrics | None = None
-    extra: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {
@@ -93,14 +92,16 @@ def _expected_ledger(
 
 
 def aggregate(
-    harness: HarnessConfig,
-    spec: UNetSpec,
-    schedule: Schedule,
-    trace: RunTrace,
-    errors: ErrorMetrics | None = None,
+    harness: HarnessConfig, trace: RunTrace, errors: ErrorMetrics | None = None
 ) -> RunReport:
-    """Fold one completed run's trace into a report, cross-checking the ledger."""
+    """Fold one completed run's trace into a report, cross-checking the ledger.
+
+    Spec and schedule come from `harness`, so the ledger, the FLOPs and the
+    memory peak all read the ratio each step of the configured run used.
+    """
     tome = harness.tome
+    spec = build_spec(harness)
+    schedule = build_schedule(harness)
     resolved = config_dict(harness)
     digest = config_digest(resolved)
 
@@ -142,8 +143,9 @@ def aggregate(
         tokens=tokens,
         flops_baseline=flops_baseline,
         flops_merged=flops_merged,
-        memory_baseline=peak_live_elements(spec, None),
-        memory_merged=peak_live_elements(spec, tome),
+        memory_baseline=peak_live_elements(spec, None, 0.0),
+        memory_merged=max(peak_live_elements(spec, tome, ratio_at(schedule, step))
+                          for step in range(schedule.steps)),
         similarity_computes=trace.similarity_total,
         errors=errors,
     )

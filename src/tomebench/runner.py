@@ -10,30 +10,15 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .config import ConfigError, HarnessConfig, config_dict, harness_from_mapping
-from .diffusion import ErrorMetrics, Schedule, compare_to_baseline, denoise, make_init_noise
+from .diffusion import (ErrorMetrics, build_schedule, compare_to_baseline, denoise,
+                        make_init_noise)
 from .grid import GridShape, TokenGrid
 from .matching import build_merge_plan, export_edge_list
 from .metrics import RunReport, aggregate, report_csv_row, sweep_csv, timing_dict
 from .partition import PartitionScheme, expected_dst_count, make_partition
 from .rng import StreamRng
-from .unet import RunTrace, UNetModel, UNetSpec, init_unet, merged_token_counts
+from .unet import RunTrace, UNetModel, UNetSpec, build_spec, init_unet, merged_token_counts
 from .viz import merge_map_to_ppm, write_partition_ppms
-
-
-def build_spec(harness: HarnessConfig) -> UNetSpec:
-    scales = tuple((h, w, harness.blocks_per_scale) for h, w in harness.scale_dims())
-    return UNetSpec(
-        scales=scales,
-        channels=harness.channels,
-        heads=harness.heads,
-        prompt_tokens=harness.prompt_tokens,
-        weight_seed=harness.weight_seed,
-    )
-
-
-def build_schedule(harness: HarnessConfig) -> Schedule:
-    start, end = harness.tome.schedule_endpoints()
-    return Schedule(harness.steps, start, end)
 
 
 def check_partition_sides(partition: PartitionScheme, h: int, w: int) -> int:
@@ -79,7 +64,6 @@ def resolve(harness: HarnessConfig) -> dict:
 class RunOutput:
     harness: HarnessConfig
     report: RunReport
-    timing: dict
     final: TokenGrid
     baseline_final: TokenGrid | None
     trace: RunTrace
@@ -133,8 +117,8 @@ def execute_run(harness: HarnessConfig, model: UNetModel | None = None,
             baseline_final = baselines[key]
         errors = compare_to_baseline(baseline_final, final)
 
-    report = aggregate(harness, spec, schedule, trace, errors)
-    return RunOutput(harness, report, timing_dict(trace), final, baseline_final, trace)
+    report = aggregate(harness, trace, errors)
+    return RunOutput(harness, report, final, baseline_final, trace)
 
 
 def _write_viz(harness: HarnessConfig, out_dir: Path) -> list[Path]:
@@ -178,7 +162,7 @@ def write_run_artifacts(output: RunOutput, out_dir: str | Path) -> dict[str, Pat
     written["report"] = report_path
 
     timing_path = out_dir / "timing.json"
-    timing_path.write_text(json.dumps(output.timing, indent=2) + "\n")
+    timing_path.write_text(json.dumps(timing_dict(output.trace), indent=2) + "\n")
     written["timing"] = timing_path
 
     if output.harness.viz_partition:

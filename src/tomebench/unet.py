@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ToMeConfig
+from .config import HarnessConfig, ToMeConfig
 from .grid import GridShape, TokenGrid
 from .matching import MergePlan, build_merge_plan, tokens_to_remove
 from .merging import MODE_MERGE, MODE_PRUNE, apply_unmerge, reduce_tokens
@@ -78,6 +78,17 @@ class UNetSpec:
         for si, (h, w, blocks) in enumerate(self.scales):
             dims.extend((si, h, w) for _ in range(blocks))
         return tuple(dims)
+
+
+def build_spec(harness: HarnessConfig) -> UNetSpec:
+    scales = tuple((h, w, harness.blocks_per_scale) for h, w in harness.scale_dims())
+    return UNetSpec(
+        scales=scales,
+        channels=harness.channels,
+        heads=harness.heads,
+        prompt_tokens=harness.prompt_tokens,
+        weight_seed=harness.weight_seed,
+    )
 
 
 def merged_token_counts(
@@ -306,7 +317,10 @@ class UNetModel:
         step: int = 0,
         trace: RunTrace | None = None,
     ) -> TokenGrid:
-        """Full U-Net evaluation; output shape equals input shape."""
+        """Full U-Net evaluation; output shape equals input shape.
+
+        Without `ratio`, a policy merges at its step-0 ratio.
+        """
         top_h, top_w, _ = self.spec.scales[0]
         if (grid.shape.height, grid.shape.width) != (top_h, top_w):
             raise ShapeError(
@@ -316,7 +330,7 @@ class UNetModel:
             raise ShapeError(f"grid channels {grid.channels} != {self.spec.channels}")
         prompts = self._check_prompts(prompts, grid.shape.batch)
         if tome is not None and ratio is None:
-            ratio = tome.ratio
+            ratio = tome.schedule_endpoints()[0]
         ratio = ratio or 0.0
         counts = merged_token_counts(self.spec, tome, ratio)
 

@@ -203,6 +203,18 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith(f"configuration error: field '{field}':")
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind", ["missing", "directory", "non-utf8"])
+    def test_unreadable_config_exits_1_before_compute(self, tmp_path, capsys, no_compute,
+                                                       kind):
+        cfg = {"missing": tmp_path / "missing.cfg", "directory": tmp_path,
+               "non-utf8": tmp_path / "latin1.cfg"}[kind]
+        if kind == "non-utf8":
+            cfg.write_bytes(b"latent = 8x8\n# caf\xe9\n")
+        out = tmp_path / "x"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("configuration error: field 'config':")
+        assert not out.exists()
+
     def test_io_error_is_runtime(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"
         blocker.write_text("file, not a directory")

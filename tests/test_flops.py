@@ -50,16 +50,16 @@ class TestClosedForms:
 class TestFlopCountPolicy:
     def test_ratio_zero_equals_baseline(self, tiny_spec):
         tome = ToMeConfig(ratio=0.0)
-        with_tome = flop_count(tiny_spec, tome)
-        plain = flop_count(tiny_spec, None)
+        with_tome = flop_count(tiny_spec, tome, 0.0)
+        plain = flop_count(tiny_spec, None, 0.0)
         assert [b.to_dict() for b in with_tome] == [b.to_dict() for b in plain]
 
     def test_self_only_ratios(self, tiny_spec):
         # top-scale blocks merged at 0.5: self pairwise 0.25x, self linear 0.5x,
         # cross and mlp untouched; deeper blocks fully untouched
         tome = ToMeConfig(ratio=0.5)  # defaults: self only, top scale only
-        merged = flop_count(tiny_spec, tome)
-        base = flop_count(tiny_spec, None)
+        merged = flop_count(tiny_spec, tome, 0.5)
+        base = flop_count(tiny_spec, None, 0.0)
         for mb, bb in zip(merged, base):
             if mb.n_tokens >= tiny_spec.top_tokens:
                 assert mb.self_attn.pairwise * 4 == bb.self_attn.pairwise
@@ -72,15 +72,15 @@ class TestFlopCountPolicy:
 
     def test_mlp_merging_halves_mlp(self, tiny_spec):
         tome = all_on(0.5)
-        merged = flop_count(tiny_spec, tome)
-        base = flop_count(tiny_spec, None)
+        merged = flop_count(tiny_spec, tome, 0.5)
+        base = flop_count(tiny_spec, None, 0.0)
         for mb, bb in zip(merged, base):
             assert mb.mlp.total * 2 == bb.mlp.total
 
     def test_overhead_never_shrinks(self, tiny_spec):
         tome = all_on(0.5)
-        merged = flop_count(tiny_spec, tome)
-        base = flop_count(tiny_spec, None)
+        merged = flop_count(tiny_spec, tome, 0.5)
+        base = flop_count(tiny_spec, None, 0.0)
         for mb, bb in zip(merged, base):
             assert mb.overhead.to_dict() == bb.overhead.to_dict()
 
@@ -127,7 +127,7 @@ def counted_and_analytic_matmul_flops(spec, tome):
     with count_matmul_flops(counter):
         model.forward(grid, prompts, tome=tome)
 
-    blocks = flop_count(spec, tome)
+    blocks = flop_count(spec, tome, 0.0 if tome is None else tome.ratio)
     analytic = sum(
         b.self_attn.matmul_total + b.cross_attn.matmul_total + b.mlp.matmul_total
         for b in blocks
@@ -156,15 +156,15 @@ class TestInstrumentedEquality:
 
 class TestMemoryProxy:
     def test_merging_reduces_peak(self, tiny_spec):
-        base = peak_live_elements(tiny_spec, None)
-        merged = peak_live_elements(tiny_spec, all_on(0.5))
+        base = peak_live_elements(tiny_spec, None, 0.0)
+        merged = peak_live_elements(tiny_spec, all_on(0.5), 0.5)
         assert merged < base
 
     def test_peak_monotone_in_ratio(self, tiny_spec):
         peaks = []
         for ratio in (0.1, 0.3, 0.5, 0.7):
             tome = all_on(ratio)
-            peaks.append(peak_live_elements(tiny_spec, tome))
+            peaks.append(peak_live_elements(tiny_spec, tome, ratio))
         for a, b in zip(peaks, peaks[1:]):
             assert b <= a
 

@@ -3,8 +3,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tomebench import HarnessConfig, ToMeConfig, unet
+from tomebench.diffusion import Schedule, build_schedule, denoise, make_init_noise, ratio_at
+from tomebench.flops import peak_live_elements
 from tomebench.merging import MODE_MERGE, MergedTokens
 from tomebench.metrics import (
     AggregationError,
@@ -14,8 +18,8 @@ from tomebench.metrics import (
     sweep_csv,
     timing_dict,
 )
-from tomebench.runner import build_schedule, build_spec, execute_run
-from tomebench.unet import BlockTraceRecord
+from tomebench.runner import execute_run
+from tomebench.unet import BlockTraceRecord, RunTrace, build_spec, init_unet
 
 
 def small_harness(**tome_kw):
@@ -49,7 +53,7 @@ class TestAggregate:
         trace.add(BlockTraceRecord(step=99, layer=0, n_tokens=64, eligible=False,
                                    r=0, merged_token_count=64, similarity_computes=0))
         with pytest.raises(AggregationError, match="mixed"):
-            aggregate(harness, build_spec(harness), build_schedule(harness), trace)
+            aggregate(harness, trace)
 
     def test_ledger_mismatch_rejected(self):
         harness = small_harness(ratio=0.5)
@@ -60,7 +64,17 @@ class TestAggregate:
                 record.merged_token_count += 1
                 break
         with pytest.raises(AggregationError, match="ledger"):
-            aggregate(harness, build_spec(harness), build_schedule(harness), bad)
+            aggregate(harness, bad)
+
+    def test_trace_from_another_schedule_rejected(self):
+        # recorded at ratio 0.25 (48 of 64 tokens) while the harness asks for 0.5 (32)
+        harness = dataclasses.replace(small_harness(ratio=0.5), steps=2)
+        spec = build_spec(harness)
+        trace = RunTrace()
+        denoise(init_unet(spec), make_init_noise(spec, 0), Schedule(2, 0.25, 0.25),
+                harness.tome, trace=trace)
+        with pytest.raises(AggregationError, match="ledger"):
+            aggregate(harness, trace)
 
     def test_unreduced_components_fail_the_ledger(self, monkeypatch):
         # components that silently receive every row must not pass as merged
@@ -93,6 +107,47 @@ class TestAggregate:
         harness = small_harness(ratio=0.5)  # top scale only: 2 blocks x 3 steps
         output = execute_run(harness)
         assert output.report.similarity_computes == 2 * 3
+
+
+def all_on_16x16(**tome_kw):
+    """`--latent 16x16 --steps 3 --apply self,cross,mlp --min-tokens 1`, no baseline."""
+    tome = ToMeConfig(apply_self=True, apply_cross=True, apply_mlp=True, min_tokens=1,
+                      **tome_kw)
+    return HarnessConfig(latent=(16, 16), steps=3, tome=tome, compare_baseline=False)
+
+
+class TestMemory:
+    def test_decaying_schedule_peaks_at_its_largest_step(self):
+        # the last step of a 0.7 -> 0.1 decay evaluates as many tokens as a constant 0.1 run
+        decay = execute_run(all_on_16x16(ratio_start=0.7, ratio_end=0.1))
+        constant = execute_run(all_on_16x16(ratio=0.1))
+        assert decay.report.memory_merged == constant.report.memory_merged == 305348
+
+    def test_one_step_run_reports_its_start_ratio(self):
+        harness = dataclasses.replace(small_harness(ratio_start=0.2, ratio_end=0.6), steps=1)
+        report = execute_run(harness).report
+        spec = build_spec(harness)
+        assert report.memory_merged == peak_live_elements(spec, harness.tome, 0.2)
+        assert report.memory_merged != peak_live_elements(spec, harness.tome, 0.6)
+
+    @settings(max_examples=150, deadline=None)
+    @given(steps=st.integers(1, 5), start=st.floats(0.0, 0.7), end=st.floats(0.0, 0.7),
+           apply=st.sets(st.sampled_from(["self", "cross", "mlp"]), min_size=1),
+           min_tokens=st.sampled_from([1, None]))
+    def test_counters_follow_the_run_schedule(self, steps, start, end, apply, min_tokens):
+        tome = ToMeConfig(ratio_start=start, ratio_end=end, apply_self="self" in apply,
+                          apply_cross="cross" in apply, apply_mlp="mlp" in apply,
+                          min_tokens=min_tokens)
+        harness = HarnessConfig(latent=(8, 8), channels=8, heads=2, prompt_tokens=2,
+                                num_scales=2, blocks_per_scale=1, steps=steps, tome=tome,
+                                compare_baseline=False)
+        report = execute_run(harness).report
+        spec, schedule = build_spec(harness), build_schedule(harness)
+        assert report.memory_merged == max(
+            peak_live_elements(spec, tome, ratio_at(schedule, s)) for s in range(steps)
+        )
+        last_step = report.tokens["merged_per_step"][-1]
+        assert [b.merged_token_count for b in report.flops_merged.per_block] == last_step
 
 
 class TestCsv:

@@ -122,6 +122,15 @@ class TestBlockMerging:
             assert record.r == int(0.5 * n)
             assert record.merged_token_count == n - record.r
 
+    def test_no_ratio_merges_at_the_step_0_ratio(self):
+        # the schedule's start ratio (0.1 of 64 tokens: r = 6), not `ratio` (r = 32)
+        spec = UNetSpec(scales=((8, 8, 1),), channels=8, heads=2, prompt_tokens=2)
+        model = init_unet(spec)
+        tome = ToMeConfig(ratio=0.5, ratio_start=0.1, ratio_end=0.1, min_tokens=1)
+        trace = RunTrace()
+        model.forward(grid_for(spec, 1), model.prompt_embedding, tome=tome, trace=trace)
+        assert [r.r for r in trace.records] == [6]
+
     @pytest.mark.parametrize("side,seed", [(2, 5), (4, 6)])
     def test_identical_tokens_match_plain_forward(self, side, seed):
         spec = UNetSpec(scales=((side, side, 1),), channels=8, heads=2, prompt_tokens=2,
