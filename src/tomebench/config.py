@@ -78,13 +78,9 @@ class ToMeConfig:
         end = self.ratio if self.ratio_end is None else self.ratio_end
         return start, end
 
-    def max_ratio(self) -> float:
-        return max(self.schedule_endpoints())
-
-    def max_ratio_key(self) -> str:
-        """The key whose value is `max_ratio()`: an explicit endpoint, else `ratio`."""
-        start, end = self.schedule_endpoints()
-        key = "ratio_end" if end >= start else "ratio_start"
+    def endpoint_key(self, endpoint: str) -> str:
+        """The key that sets the "start" or "end" ratio: the explicit endpoint, else `ratio`."""
+        key = f"ratio_{endpoint}"
         return key if getattr(self, key) is not None else "ratio"
 
     def enabled_components(self) -> tuple[str, ...]:

@@ -60,6 +60,14 @@ def ratio_at(schedule: Schedule, step: int) -> float:
     return schedule.ratio_start * (1.0 - t) + schedule.ratio_end * t
 
 
+def peak_step(schedule: Schedule) -> int:
+    """The step with the largest ratio, the later one on a tie.
+
+    A linear schedule peaks at one of its ends; a one-step run has only step 0.
+    """
+    return max((0, schedule.steps - 1), key=lambda step: (ratio_at(schedule, step), step))
+
+
 def build_schedule(harness: HarnessConfig) -> Schedule:
     """The run's schedule: the one source of every step's ratio."""
     return Schedule(harness.steps, *harness.tome.schedule_endpoints())

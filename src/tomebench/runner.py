@@ -11,7 +11,7 @@ from pathlib import Path
 
 from .config import ConfigError, HarnessConfig, config_dict, harness_from_mapping
 from .diffusion import (ErrorMetrics, build_schedule, compare_to_baseline, denoise,
-                        make_init_noise)
+                        make_init_noise, peak_step, ratio_at)
 from .grid import GridShape, TokenGrid
 from .matching import build_merge_plan, export_edge_list
 from .metrics import RunReport, aggregate, report_csv_row, sweep_csv, timing_dict
@@ -34,13 +34,19 @@ def check_partition_sides(partition: PartitionScheme, h: int, w: int) -> int:
 
 
 def validate_capacity(harness: HarnessConfig) -> None:
-    """Reject empty partition sides on merging or rendered grids, and infeasible ratios."""
+    """Reject empty partition sides on merging or rendered grids, and infeasible ratios.
+
+    Only the ratios the run's steps use count; the largest of them merges the
+    most blocks and removes the most tokens from each.
+    """
     tome = harness.tome
     spec = build_spec(harness)
+    schedule = build_schedule(harness)
+    peak = peak_step(schedule)
     if harness.viz_partition:
         check_partition_sides(tome.partition, *harness.latent)
     for (_, h, w), merged in zip(spec.block_dims(),
-                                 merged_token_counts(spec, tome, tome.max_ratio())):
+                                 merged_token_counts(spec, tome, ratio_at(schedule, peak))):
         if merged is None:
             continue
         n = h * w
@@ -48,7 +54,8 @@ def validate_capacity(harness: HarnessConfig) -> None:
         r = n - merged
         if r > src:
             raise ConfigError(
-                tome.max_ratio_key(), f"r={r} exceeds the {src}-token src set of the {h}x{w} "
+                tome.endpoint_key("start" if peak == 0 else "end"),
+                f"r={r} exceeds the {src}-token src set of the {h}x{w} "
                 f"grid under partition {tome.partition.spec_string()}; "
                 f"largest feasible ratio is {src / n:.4f}"
             )
@@ -99,7 +106,8 @@ def execute_run(harness: HarnessConfig, model: UNetModel | None = None,
     noise = make_init_noise(spec, tome.seed)
 
     trace = RunTrace()
-    merges = any(m is not None for m in merged_token_counts(spec, tome, tome.max_ratio()))
+    peak_ratio = ratio_at(schedule, peak_step(schedule))
+    merges = any(m is not None for m in merged_token_counts(spec, tome, peak_ratio))
     active_tome = tome if merges else None
     final = denoise(model, noise, schedule, active_tome, harness.guidance_scale, trace)
 

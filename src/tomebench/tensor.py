@@ -1,11 +1,15 @@
 """Minimal dense float32 kernel: matmul, row softmax, row layernorm.
 
-All public operations are pure (inputs are never mutated), operate on 2D
-float32 arrays, and are deterministic: repeated evaluation on the same inputs
-is bit-identical. Inside an op, in-place arithmetic is used only on
-temporaries that the op allocated itself, in the same operation order as the
-plain expression, so it saves allocations and memory traffic without changing
-a single bit of the result.
+All public operations are pure (inputs are never mutated; `softmax_rows`
+writes only into an `out` array its caller passes) and deterministic:
+repeated evaluation on the same inputs is bit-identical. `matmul` and
+`softmax_rows` accept stacked operands: `matmul` multiplies `(..., n, k) @
+(..., k, m)` matrix by matrix, and `softmax_rows` normalizes along the last
+axis of any array of two or more dimensions. `layernorm_rows` takes a 2D
+array. Inside an op, in-place arithmetic is used only on temporaries that
+the op allocated itself, in the same operation order as the plain
+expression, so it saves allocations and memory traffic without changing a
+single bit of the result.
 """
 
 from __future__ import annotations
@@ -54,6 +58,14 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return out
 
 
+def as_stack(a, name: str = "stack") -> np.ndarray:
+    """Coerce to a float32 ndarray of two or more dimensions, rejecting anything else."""
+    out = np.asarray(a, dtype=DTYPE)
+    if out.ndim < 2:
+        raise ShapeError(f"{name} must have at least 2 dims, got ndim={out.ndim}")
+    return out
+
+
 def _check_finite(a: np.ndarray, op: str) -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise NonFiniteError(f"{op} produced non-finite values")
@@ -61,30 +73,39 @@ def _check_finite(a: np.ndarray, op: str) -> np.ndarray:
 
 
 def matmul(a, b) -> np.ndarray:
-    """Matrix product a @ b with a shape check and finite output."""
-    a = as_matrix(a, "a")
-    b = as_matrix(b, "b")
-    if a.shape[1] != b.shape[0]:
+    """Matrix product a @ b with a shape check and finite output.
+
+    Stacked operands `(..., n, k) @ (..., k, m)` must have equal stack shapes
+    (no broadcasting); each matrix of the stack is one product.
+    """
+    a = as_stack(a, "a")
+    b = as_stack(b, "b")
+    if a.shape[:-2] != b.shape[:-2] or a.shape[-1] != b.shape[-2]:
         raise ShapeError(
-            f"matmul dimension mismatch: {a.shape[0]}x{a.shape[1]} @ {b.shape[0]}x{b.shape[1]}"
+            f"matmul dimension mismatch: {'x'.join(map(str, a.shape))} @ "
+            f"{'x'.join(map(str, b.shape))}"
         )
     with np.errstate(over="ignore", invalid="ignore"):
         out = a @ b
     for counter in _active_counters:
-        counter.matmul += 2 * a.shape[0] * a.shape[1] * b.shape[1]
+        counter.matmul += 2 * a.size * b.shape[-1]
     return _check_finite(out, "matmul")
 
 
-def softmax_rows(a) -> np.ndarray:
-    """Row-wise softmax with max subtraction; each row sums to 1."""
-    a = as_matrix(a)
-    out = a - a.max(axis=1, keepdims=True)
+def softmax_rows(a, out: np.ndarray | None = None) -> np.ndarray:
+    """Softmax along the last axis with max subtraction; each row sums to 1.
+
+    The result goes into a new array, or into `out` when given: `out=a` lets a
+    caller normalize a temporary of its own in place, with the same bits.
+    """
+    a = as_stack(a)
+    out = np.subtract(a, a.max(axis=-1, keepdims=True), out=out)
     np.exp(out, out=out)
-    sums = out.sum(axis=1, keepdims=True, dtype=DTYPE)
+    sums = out.sum(axis=-1, keepdims=True, dtype=DTYPE)
     # A row with a finite maximum holds exp(0) = 1 and nothing above 1, so its
     # sum is finite and >= 1. A NaN or +inf in a row, or a row of only -inf,
     # makes its sum NaN. The quotient is therefore finite exactly when every
-    # row sum is, so checking the (n, 1) sums raises on exactly the inputs a
+    # row sum is, so checking the (..., n, 1) sums raises on exactly the inputs a
     # check of `out` would.
     _check_finite(sums, "softmax_rows")
     out /= sums

@@ -13,6 +13,11 @@ add, so the token count entering and leaving every block is unchanged.
 Attention logits never see group sizes (no proportional attention), and
 prompt tokens are never merged.
 
+A block evaluates each component once on the whole guidance batch, and
+attention serves every (element, head) pair in a few stacked products whose
+logits are tiled to at most `TILE` elements (`attention_tiles`); the bytes
+equal a loop over elements and heads.
+
 `merged_token_counts` is the single home of the merge policy: which blocks
 merge at a given ratio, and how many tokens their merged components evaluate.
 The forward pass, the FLOP and memory model, the token ledger and the
@@ -35,6 +40,10 @@ from .rng import StreamRng
 from .tensor import DTYPE, ShapeError, layernorm_rows, matmul, softmax_rows
 
 WEIGHT_STD = 0.02
+
+# float32 attention logits per tile (1 MiB): one stacked logits product never
+# holds more, unless a single query row over all keys is longer.
+TILE = 2**18
 
 
 @dataclass(frozen=True)
@@ -106,6 +115,22 @@ def merged_token_counts(
         n - tokens_to_remove(ratio, n) if n >= min_tokens else None
         for n in (h * w for _, h, w in spec.block_dims())
     )
+
+
+def attention_tiles(pairs: int, n: int, m: int) -> list[tuple[slice, slice]]:
+    """(pair slice, query-row slice) tiles covering `pairs` n x m logits matrices.
+
+    While one n x m matrix fits in `TILE`, a tile takes whole matrices, as many
+    pairs as fit. Otherwise each pair's query rows split into balanced blocks
+    of at most `TILE // m` rows (row counts differ by at most one).
+    """
+    if n * m <= TILE:
+        per = max(1, TILE // (n * m))
+        return [(slice(g, min(g + per, pairs)), slice(0, n)) for g in range(0, pairs, per)]
+    blocks = -(-n // max(1, TILE // m))
+    bounds = [b * n // blocks for b in range(blocks + 1)]
+    return [(slice(g, g + 1), slice(lo, hi))
+            for g in range(pairs) for lo, hi in zip(bounds, bounds[1:])]
 
 
 @dataclass
@@ -187,19 +212,37 @@ class UNetModel:
     # -- components ---------------------------------------------------------
 
     def _attention(self, q_in, kv_in, wq, wk, wv, wo) -> np.ndarray:
-        q = matmul(q_in, wq)
-        k = matmul(kv_in, wk)
-        v = matmul(kv_in, wv)
+        """Multi-head attention of each element's queries over its own keys.
+
+        `q_in` is (batch, n, channels) and `kv_in` (batch, m, channels); the
+        result is (batch, n, channels). Projections run once over all rows,
+        and the (element, head) pairs share their logits products in tiles
+        of at most `TILE` elements (see `attention_tiles`).
+        """
+        batch, n, channels = q_in.shape
+        m = kv_in.shape[1]
         heads = self.spec.heads
-        dh = self.spec.channels // heads
+        dh = channels // heads
+        pairs = batch * heads
         scale = DTYPE(1.0 / math.sqrt(dh))
-        outs = []
-        for h in range(heads):
-            cols = slice(h * dh, (h + 1) * dh)
-            logits = matmul(q[:, cols], np.ascontiguousarray(k[:, cols].T))
-            logits *= scale  # matmul returned a fresh array
-            outs.append(matmul(softmax_rows(logits), v[:, cols]))
-        return matmul(np.concatenate(outs, axis=1), wo)
+
+        def split_heads(x, w):
+            # (batch, length, channels) @ w as a (batch, heads, length, dh) view
+            length = x.shape[1]
+            out = matmul(x.reshape(batch * length, channels), w)
+            return out.reshape(batch, length, heads, dh).transpose(0, 2, 1, 3)
+
+        q = split_heads(q_in, wq).reshape(pairs, n, dh)
+        # contiguous (dh, m) key matrices, the layout the per-head loop handed BLAS
+        kt = np.ascontiguousarray(split_heads(kv_in, wk).swapaxes(2, 3)).reshape(pairs, dh, m)
+        v = split_heads(kv_in, wv).reshape(pairs, m, dh)
+        out = np.empty((pairs, n, dh), DTYPE)
+        for group, rows in attention_tiles(pairs, n, m):
+            logits = matmul(q[group, rows], kt[group])
+            logits *= scale  # matmul returned a fresh array, so both steps work in place
+            out[group, rows] = matmul(softmax_rows(logits, out=logits), v[group])
+        out = out.reshape(batch, heads, n, dh).transpose(0, 2, 1, 3)
+        return matmul(out.reshape(batch * n, channels), wo).reshape(batch, n, channels)
 
     def _self_attention(self, tokens, w: BlockWeights) -> np.ndarray:
         return self._attention(tokens, tokens, w.self_q, w.self_k, w.self_v, w.self_o)
@@ -208,7 +251,8 @@ class UNetModel:
         return self._attention(tokens, prompt, w.cross_q, w.cross_k, w.cross_v, w.cross_o)
 
     def _mlp(self, tokens, w: BlockWeights) -> np.ndarray:
-        return matmul(_gelu(matmul(tokens, w.mlp_in)), w.mlp_out)
+        rows = tokens.reshape(-1, tokens.shape[-1])
+        return matmul(_gelu(matmul(rows, w.mlp_in)), w.mlp_out).reshape(tokens.shape)
 
     # -- block --------------------------------------------------------------
 
@@ -246,7 +290,7 @@ class UNetModel:
         layer: int,
         trace: RunTrace | None,
     ) -> np.ndarray:
-        batch, n_tokens, _ = values.shape
+        batch, n_tokens, channels = values.shape
         weights = self.blocks[layer]
         if eligible:
             part, plans = self._build_plans(values, height, width, tome, ratio, step, layer)
@@ -254,24 +298,28 @@ class UNetModel:
         received: set[int] = set()  # row counts the merged components were given
 
         def pass_through(merge: bool, component) -> np.ndarray:
-            # component(element, tokens) -> tokens; sees merged tokens when wrapped
-            rows = []
-            for e in range(batch):
-                normed = layernorm_rows(values[e])
-                if merge:
-                    reduced = reduce_tokens(normed, plans[e], mode)
-                    received.add(reduced.values.shape[0])
-                    out = apply_unmerge(reduced.with_values(component(e, reduced.values)))
-                else:
-                    out = component(e, normed)
-                rows.append(values[e] + out)
-            return np.stack(rows)
+            # component(tokens) -> tokens on a (batch, rows, channels) stack; it
+            # sees merged tokens when wrapped. Plans differ per element, so the
+            # merge and unmerge run per element around one stacked component call.
+            normed = layernorm_rows(values.reshape(batch * n_tokens, channels))
+            normed = normed.reshape(values.shape)
+            if not merge:
+                return values + component(normed)
+            reduced = [reduce_tokens(normed[e], plans[e], mode) for e in range(batch)]
+            received.update(r.values.shape[0] for r in reduced)
+            if len(received) != 1:
+                raise ShapeError(
+                    f"block {layer}: merged components received {sorted(received)} token rows"
+                )
+            out = component(np.stack([r.values for r in reduced]))
+            return values + np.stack([apply_unmerge(r.with_values(o))
+                                      for r, o in zip(reduced, out)])
 
         values = pass_through(eligible and tome.apply_self,
-                              lambda e, t: self._self_attention(t, weights))
+                              lambda t: self._self_attention(t, weights))
         values = pass_through(eligible and tome.apply_cross,
-                              lambda e, t: self._cross_attention(t, prompts[e], weights))
-        values = pass_through(eligible and tome.apply_mlp, lambda e, t: self._mlp(t, weights))
+                              lambda t: self._cross_attention(t, prompts, weights))
+        values = pass_through(eligible and tome.apply_mlp, lambda t: self._mlp(t, weights))
 
         if trace is not None:
             if not eligible:
@@ -279,10 +327,6 @@ class UNetModel:
                     step=step, layer=layer, n_tokens=n_tokens, eligible=False,
                     r=0, merged_token_count=n_tokens, similarity_computes=0,
                 ))
-            elif len(received) != 1:
-                raise ShapeError(
-                    f"block {layer}: merged components received {sorted(received)} token rows"
-                )
             else:
                 trace.add(BlockTraceRecord(
                     step=step, layer=layer, n_tokens=n_tokens, eligible=True,

@@ -1,9 +1,10 @@
 """Reference kernels: the straightforward allocate-per-operation versions.
 
 These are the earlier implementations of the step's elementwise kernels, the
-token grouping and merge, and the rand-tile draw, kept unchanged so tests can
-assert that the allocation-lean versions in `tomebench` produce the same
-bytes. Nothing in `src/` imports this module.
+per-element block loop and per-head attention, the token grouping and merge,
+and the rand-tile draw, kept unchanged so tests can assert that the
+allocation-lean and batched versions in `tomebench` produce the same bytes.
+Nothing in `src/` imports this module.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from tomebench.matching import MergePlan
 from tomebench.merging import MODE_MERGE, MODE_PRUNE, MergedTokens, _check_shape
 from tomebench.partition import PartitionScheme
 from tomebench.tensor import DTYPE, ShapeError, _check_finite, as_matrix, matmul
+from tomebench.unet import BlockTraceRecord
 
 
 def softmax_rows(a) -> np.ndarray:
@@ -67,6 +69,55 @@ def attention(self, q_in, kv_in, wq, wk, wv, wo) -> np.ndarray:
         logits = matmul(q[:, cols], np.ascontiguousarray(k[:, cols].T)) * scale
         outs.append(matmul(softmax_rows(logits), v[:, cols]))
     return matmul(np.concatenate(outs, axis=1), wo)
+
+
+def block(self, values, height, width, prompts, tome, ratio, eligible, step, layer, trace):
+    """`UNetModel._block` evaluating each batch element's components separately."""
+    batch, n_tokens, _ = values.shape
+    weights = self.blocks[layer]
+    if eligible:
+        part, plans = self._build_plans(values, height, width, tome, ratio, step, layer)
+    mode = MODE_PRUNE if (tome is not None and tome.prune) else MODE_MERGE
+    received: set[int] = set()  # row counts the merged components were given
+
+    def pass_through(merge: bool, component) -> np.ndarray:
+        # component(element, tokens) -> tokens; sees merged tokens when wrapped
+        rows = []
+        for e in range(batch):
+            normed = layernorm_rows(values[e])
+            if merge:
+                reduced = reduce_tokens(normed, plans[e], mode)
+                received.add(reduced.values.shape[0])
+                out = apply_unmerge(reduced.with_values(component(e, reduced.values)))
+            else:
+                out = component(e, normed)
+            rows.append(values[e] + out)
+        return np.stack(rows)
+
+    values = pass_through(eligible and tome.apply_self,
+                          lambda e, t: self._self_attention(t, weights))
+    values = pass_through(eligible and tome.apply_cross,
+                          lambda e, t: self._cross_attention(t, prompts[e], weights))
+    values = pass_through(eligible and tome.apply_mlp, lambda e, t: self._mlp(t, weights))
+
+    if trace is not None:
+        if not eligible:
+            trace.add(BlockTraceRecord(
+                step=step, layer=layer, n_tokens=n_tokens, eligible=False,
+                r=0, merged_token_count=n_tokens, similarity_computes=0,
+            ))
+        elif len(received) != 1:
+            raise ShapeError(
+                f"block {layer}: merged components received {sorted(received)} token rows"
+            )
+        else:
+            trace.add(BlockTraceRecord(
+                step=step, layer=layer, n_tokens=n_tokens, eligible=True,
+                r=plans[0].r, merged_token_count=received.pop(),
+                similarity_computes=1, dst_count=part.dst_count,
+                dst_masks=part.packed_masks(),
+            ))
+    return values
 
 
 def grouping(plan: MergePlan) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -155,7 +155,8 @@ class TestExitCodes:
         ("partition = rand:0.01\nmin_tokens = 1", "partition"),  # 0 of 16 dst on 4x4
         ("partition = rand:0.995\nratio = 0.01", "partition"),  # 64 of 64 dst on 8x8, r = 0
         ("num_scales = 1000000", "num_scales"),
-        ("ratio_start = 0.5\nratio_end = 0.99\npartition = alt", "ratio_end"),
+        # the later line wins: a two-step run reaches ratio_end at its last step
+        ("ratio_start = 0.5\nratio_end = 0.99\npartition = alt\nsteps = 2", "ratio_end"),
     ])
     def test_bad_model_fields_exit_1_before_compute(self, tmp_path, capsys, line, setting):
         key = KEY_OF_SETTING.get(setting, setting)
@@ -181,6 +182,9 @@ class TestExitCodes:
         ("sweep --partition rand2x2,bogus", "partition"),
         # 0 of 64 dst on the rendered top grid, at a ratio that merges no block
         ("run --ratio 0 --partition rand:0.001 --viz-partition", "partition"),
+        # r = 57 of a 32-token src set at whichever of two steps merges at 0.9
+        ("run --ratio-start 0.2 --ratio-end 0.9 --partition alt --steps 2", "ratio_end"),
+        ("run --ratio-start 0.9 --ratio-end 0.2 --partition alt --steps 2", "ratio_start"),
     ])
     def test_bad_flags_exit_1_before_compute(self, tmp_path, capsys, no_compute, argv, field):
         out = tmp_path / "x"
@@ -188,6 +192,13 @@ class TestExitCodes:
         assert main([command, "--latent", "8x8", "--steps", "1", *flags, "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith(f"configuration error: field '{field}':")
         assert not out.exists()
+
+    def test_one_step_run_checks_only_its_start_ratio(self, tmp_path):
+        """A one-step run merges only at ratio_start; an infeasible ratio_end is never used."""
+        out = tmp_path / "x"
+        assert main(["run", "--latent", "8x8", "--steps", "1", "--ratio-start", "0.2",
+                     "--ratio-end", "0.9", "--partition", "alt", "--out", str(out)]) == 0
+        assert (out / "report.json").is_file()
 
     @pytest.mark.parametrize("flags,field", [
         ("--seed x", "seed"),

@@ -1,4 +1,4 @@
-"""Bit-exactness of the allocation-lean kernels against the reference kernels.
+"""Bit-exactness of the allocation-lean and batched kernels against the reference kernels.
 
 Every comparison is on `tobytes()`, so a single flipped bit (including the
 sign of a zero) fails. Where an input makes the reference raise, the new
@@ -19,7 +19,8 @@ from tomebench.matching import MergePlan, build_merge_plan
 from tomebench.merging import MODE_MERGE, MODE_PRUNE, apply_unmerge, reduce_tokens
 from tomebench.partition import PartitionError, PartitionScheme, make_partition
 from tomebench.rng import StreamRng
-from tomebench.tensor import DTYPE, NonFiniteError, layernorm_rows, softmax_rows
+from tomebench.tensor import (DTYPE, FlopCounter, NonFiniteError, count_matmul_flops,
+                              layernorm_rows, softmax_rows)
 from conftest import hand_plan
 
 INF = float("inf")
@@ -201,7 +202,51 @@ def patch_reference_kernels(monkeypatch):
     monkeypatch.setattr(unet, "reduce_tokens", ref.reduce_tokens)
     monkeypatch.setattr(unet, "apply_unmerge", ref.apply_unmerge)
     monkeypatch.setattr(unet.UNetModel, "_attention", ref.attention)
+    monkeypatch.setattr(unet.UNetModel, "_block", ref.block)
     monkeypatch.setattr(partition, "_rand_tile_mask", ref.rand_tile_mask)
+
+
+class TestAttentionTiles:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 40), st.integers(1, 3000), st.integers(1, 3000))
+    def test_tiles_cover_each_row_once_within_budget(self, pairs, n, m):
+        seen = np.zeros((pairs, n), dtype=np.int64)
+        row_counts = set()
+        for group, rows in unet.attention_tiles(pairs, n, m):
+            seen[group, rows] += 1
+            count = rows.stop - rows.start
+            assert (group.stop - group.start) * count * m <= max(unet.TILE, m)
+            row_counts.add(count)
+        assert np.all(seen == 1)
+        assert max(row_counts) - min(row_counts) <= 1  # balanced row blocks
+
+    @pytest.mark.parametrize("pairs,n,m,tiles", [
+        (8, 64, 64, [(8, 64)]),  # every pair in one tile
+        (8, 200, 200, [(6, 200), (2, 200)]),  # a short last group
+        (8, 512, 512, [(1, 512)] * 8),  # one pair is exactly one tile
+        (2, 1030, 1030, [(1, 206)] * 10),  # row blocks of a ragged n
+        (8, 1030, 8, [(8, 1030)]),  # prompt-length keys
+    ])
+    def test_tile_shapes(self, pairs, n, m, tiles):
+        assert [(g.stop - g.start, r.stop - r.start)
+                for g, r in unet.attention_tiles(pairs, n, m)] == tiles
+
+
+@pytest.mark.parametrize("n,m", [(64, 64), (200, 200), (512, 512), (1030, 1030), (1030, 8)])
+def test_attention_matches_per_head_reference(nprng, n, m):
+    """The batched, tiled kernel on a guidance pair equals the per-element, per-head one."""
+    model = init_unet(UNetSpec(scales=((8, 8, 1),), channels=64, heads=4, weight_seed=5))
+    w = model.blocks[0]
+    weights = (w.self_q, w.self_k, w.self_v, w.self_o)
+    q_in = nprng.standard_normal((2, n, 64)).astype(DTYPE)
+    kv_in = q_in if m == n else nprng.standard_normal((2, m, 64)).astype(DTYPE)
+    new_flops, old_flops = FlopCounter(), FlopCounter()
+    with count_matmul_flops(new_flops):
+        new = model._attention(q_in, kv_in, *weights)
+    with count_matmul_flops(old_flops):
+        old = np.stack([ref.attention(model, q_in[e], kv_in[e], *weights) for e in range(2)])
+    assert new.tobytes() == old.tobytes()
+    assert new_flops.matmul == old_flops.matmul
 
 
 SPECS = {
@@ -209,10 +254,13 @@ SPECS = {
                 weight_seed=3),
     16: UNetSpec(scales=((16, 16, 1), (8, 8, 1), (4, 4, 1)), channels=16, heads=2,
                  prompt_tokens=4, weight_seed=3),
+    # 1024-token attention splits into row blocks; dh = 16 as in the default model
+    32: UNetSpec(scales=((32, 32, 1), (16, 16, 1)), channels=32, heads=2, prompt_tokens=4,
+                 weight_seed=3),
 }
 
 
-@pytest.mark.parametrize("side", sorted(SPECS))
+@pytest.mark.parametrize("side", [8, 16])
 @pytest.mark.parametrize("scheme", ["alt", "strided:2x2", "rand:0.3", "rand2x2"])
 @pytest.mark.parametrize("prune", [False, True])
 @pytest.mark.parametrize("share", [False, True])
@@ -242,4 +290,20 @@ def test_baseline_denoise_matches_reference_kernels(monkeypatch, side):
     with monkeypatch.context() as m:
         patch_reference_kernels(m)
         old = denoise(model, noise, schedule, None, 7.5).values.tobytes()
+    assert new == old
+
+
+@pytest.mark.parametrize("tome", [
+    ToMeConfig(seed=2),  # default policy: self-attention of the 1024-token block at 0.5
+    # 717 merged tokens in every component: ragged row blocks of 359 and 358
+    ToMeConfig(ratio=0.3, apply_cross=True, apply_mlp=True, min_tokens=1, seed=2),
+], ids=["default", "ratio0.3-all"])
+def test_denoise_matches_reference_kernels_side_32(monkeypatch, tome):
+    model = init_unet(SPECS[32])
+    noise = make_init_noise(SPECS[32], 1)
+    schedule = Schedule(1, tome.ratio, tome.ratio)
+    new = denoise(model, noise, schedule, tome, 7.5).values.tobytes()
+    with monkeypatch.context() as m:
+        patch_reference_kernels(m)
+        old = denoise(model, noise, schedule, tome, 7.5).values.tobytes()
     assert new == old

@@ -1,12 +1,17 @@
 """Runner orchestration: baseline reuse across sweep points, and work skipped or
 refused before any denoise."""
 
+import dataclasses
+
 import pytest
 
+from tomebench import runner
 from tomebench.cli import main
 from tomebench.config import ConfigError, HarnessConfig, ToMeConfig, harness_from_mapping
+from tomebench.diffusion import build_schedule, compare_to_baseline, denoise, make_init_noise
+from tomebench.metrics import aggregate
 from tomebench.runner import execute_run, run_sweep, sweep_points
-from tomebench.unet import UNetModel
+from tomebench.unet import RunTrace, UNetModel, build_spec, init_unet
 
 STEPS = 2
 
@@ -47,6 +52,32 @@ def test_gated_run_denoises_once(forward_calls):
     report = execute_run(harness).report
     assert forward_calls == [None] * STEPS  # one unmerged denoise, no separate baseline
     assert report.errors.rel_l2 == 0.0
+
+
+def test_run_that_never_merges_at_its_steps_denoises_once(monkeypatch):
+    """ratio_end is never reached in a one-step run, so its 0.0 start ratio is all there is."""
+    harness = dataclasses.replace(
+        tiny_harness(), steps=1, tome=ToMeConfig(ratio_start=0.0, ratio_end=0.6, min_tokens=1))
+    # The report of the merged-then-baseline pair, built without the runner.
+    model = init_unet(build_spec(harness))
+    noise = make_init_noise(model.spec, harness.tome.seed)
+    trace = RunTrace()
+    merged = denoise(model, noise, build_schedule(harness), harness.tome,
+                     harness.guidance_scale, trace)
+    baseline = denoise(model, noise, build_schedule(harness), None, harness.guidance_scale)
+    expected = aggregate(harness, trace, compare_to_baseline(baseline, merged))
+
+    calls = []
+
+    def counting(model, noise, schedule, tome=None, *args):
+        calls.append(tome)
+        return denoise(model, noise, schedule, tome, *args)
+
+    monkeypatch.setattr(runner, "denoise", counting)
+    output = execute_run(harness)
+    assert calls == [None]
+    assert output.report.to_json_bytes() == expected.to_json_bytes()
+    assert output.final.values.tobytes() == merged.values.tobytes()
 
 
 def test_sweep_reuse_changes_no_result(tmp_path, forward_calls):
