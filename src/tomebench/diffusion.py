@@ -14,6 +14,7 @@ a ratio-0 run is bit-identical to running the plain model.
 
 from __future__ import annotations
 
+import resource
 import time
 from dataclasses import dataclass
 
@@ -105,6 +106,7 @@ def denoise(
     x = init_noise.values
     for step in range(schedule.steps):
         t0 = time.perf_counter()
+        faults0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         ratio = ratio_at(schedule, step)
         stacked = TokenGrid(pair_shape, np.concatenate([x, x], axis=0))
         pred = model.forward(stacked, prompts, tome=tome, ratio=ratio, step=step, trace=trace)
@@ -113,6 +115,8 @@ def denoise(
         x = x - alpha * (uncond + DTYPE(guidance_scale) * (cond - uncond))
         if trace is not None:
             trace.step_times.append(time.perf_counter() - t0)
+            trace.step_minor_faults.append(
+                resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults0)
     return TokenGrid(init_noise.shape, x)
 
 

@@ -195,4 +195,5 @@ def timing_dict(trace: RunTrace) -> dict:
     return {
         "wall_time_total_s": float(sum(trace.step_times)),
         "wall_time_per_step_s": [float(t) for t in trace.step_times],
+        "minor_faults_per_step": list(trace.step_minor_faults),
     }

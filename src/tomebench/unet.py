@@ -149,11 +149,12 @@ class BlockTraceRecord:
 
 
 class RunTrace:
-    """Collects per-block records and per-step wall times for one run."""
+    """Collects per-block records, per-step wall times and minor page faults for one run."""
 
     def __init__(self):
         self.records: list[BlockTraceRecord] = []
         self.step_times: list[float] = []
+        self.step_minor_faults: list[int] = []
 
     def add(self, record: BlockTraceRecord) -> None:
         self.records.append(record)

@@ -90,6 +90,8 @@ class TestDenoise:
         # min_tokens=None -> only the two top-scale blocks are eligible
         assert trace.similarity_total == 2 * steps
         assert len(trace.step_times) == steps
+        assert len(trace.step_minor_faults) == steps
+        assert all(faults >= 0 for faults in trace.step_minor_faults)
         assert len(trace.records) == len(tiny_model.blocks) * steps
 
 

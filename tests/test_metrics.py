@@ -102,6 +102,8 @@ class TestAggregate:
         timing = timing_dict(output.trace)
         assert timing["wall_time_total_s"] > 0
         assert len(timing["wall_time_per_step_s"]) == 3
+        assert timing["minor_faults_per_step"] == output.trace.step_minor_faults
+        assert "minor_faults" not in json.dumps(data)
 
     def test_similarity_counter_in_report(self):
         harness = small_harness(ratio=0.5)  # top scale only: 2 blocks x 3 steps
