@@ -18,15 +18,13 @@ from .flops import FlopCount, flop_count, peak_live_elements, run_flops
 from .grid import GridShape, TokenGrid
 from .matching import (
     MergePlan,
-    OracleError,
     RatioError,
-    brute_force_oracle,
     build_merge_plan,
     cosine_similarity,
     export_edge_list,
     tokens_to_remove,
 )
-from .merging import MergedTokens, apply_merge, apply_prune, apply_unmerge
+from .merging import apply_unmerge, reduce_tokens
 from .metrics import RunReport, aggregate, speedup_estimate, sweep_csv
 from .partition import (
     PartitionError,
@@ -47,8 +45,6 @@ __all__ = [
     "GridShape",
     "HarnessConfig",
     "MergePlan",
-    "MergedTokens",
-    "OracleError",
     "PartitionError",
     "PartitionPlan",
     "PartitionScheme",
@@ -62,10 +58,7 @@ __all__ = [
     "UNetModel",
     "UNetSpec",
     "aggregate",
-    "apply_merge",
-    "apply_prune",
     "apply_unmerge",
-    "brute_force_oracle",
     "build_merge_plan",
     "compare_to_baseline",
     "cosine_similarity",
@@ -78,6 +71,7 @@ __all__ = [
     "make_partition",
     "peak_live_elements",
     "ratio_at",
+    "reduce_tokens",
     "run_flops",
     "speedup_estimate",
     "sweep_csv",

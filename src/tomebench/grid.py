@@ -25,9 +25,6 @@ class GridShape:
     def tokens(self) -> int:
         return self.height * self.width
 
-    def flat_index(self, y: int, x: int) -> int:
-        return y * self.width + x
-
 
 @dataclass(frozen=True)
 class TokenGrid:
@@ -54,7 +51,3 @@ class TokenGrid:
     @property
     def channels(self) -> int:
         return self.values.shape[2]
-
-    def element(self, b: int) -> np.ndarray:
-        """The (tokens, channels) matrix of one batch element."""
-        return self.values[b]

@@ -7,15 +7,15 @@ has the highest similarity are selected for merging. Ties are broken toward
 the lower src flat index, then the lower dst flat index, so plans are fully
 deterministic.
 
-`brute_force_oracle` re-derives the same plan by exhaustive greedy
-enumeration over all src->dst edges; it shares the cosine metric (which has
-its own directly-verified contract) but none of the selection code, and is
-used only in tests.
+A plan covers the whole batch at once: one stacked similarity product
+matches every element against its own dst set, and one `Grouping` indexes
+the elements' tokens stacked as `batch * n_tokens` rows.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -29,10 +29,6 @@ class RatioError(ValueError):
     """The requested reduction exceeds what the src set can supply."""
 
 
-class OracleError(ValueError):
-    """The brute-force oracle refuses instances above its size cap."""
-
-
 def tokens_to_remove(ratio: float, n_tokens: int) -> int:
     """r = floor(ratio * N): the token count removed by merging."""
     if not 0.0 <= ratio < 1.0:
@@ -40,34 +36,56 @@ def tokens_to_remove(ratio: float, n_tokens: int) -> int:
     return math.floor(ratio * n_tokens)
 
 
+@dataclass
+class SimilarityCounter:
+    """Counts the `cosine_similarity` calls that ran."""
+
+    calls: int = 0
+
+
+_active_counters: list[SimilarityCounter] = []
+
+
+@contextmanager
+def count_similarity_calls(counter: SimilarityCounter):
+    """Record the `cosine_similarity` calls made inside the `with` body into `counter`."""
+    _active_counters.append(counter)
+    try:
+        yield counter
+    finally:
+        _active_counters.pop()
+
+
 def cosine_similarity(src_feats, dst_feats) -> np.ndarray:
-    """|src| x |dst| cosine similarities in [-1, 1]; zero-norm rows score 0."""
+    """Cosine similarities in [-1, 1] of (..., n, C) against (..., m, C) rows.
+
+    Matrices of a stack pair off one to one, giving (..., n, m); zero-norm
+    rows score 0.
+    """
     a = np.asarray(src_feats, dtype=DTYPE)
     b = np.asarray(dst_feats, dtype=DTYPE)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError("feature matrices must be 2D")
-    if a.shape[1] != b.shape[1]:
-        raise ShapeError(f"channel mismatch: {a.shape[1]} vs {b.shape[1]}")
+    if a.ndim < 2 or a.shape[:-2] != b.shape[:-2] or a.shape[-1] != b.shape[-1]:
+        raise ShapeError(f"feature stacks do not pair: {a.shape} vs {b.shape}")
 
     def _unit(rows: np.ndarray) -> np.ndarray:
-        norms = np.sqrt(np.sum(rows * rows, axis=1, keepdims=True, dtype=DTYPE), dtype=DTYPE)
+        norms = np.sqrt(np.sum(rows * rows, axis=-1, keepdims=True, dtype=DTYPE), dtype=DTYPE)
         safe = np.where(norms > 0, norms, DTYPE(1.0))
         return np.where(norms > 0, rows / safe, DTYPE(0.0))
 
-    sims = _unit(a) @ _unit(b).T
+    for counter in _active_counters:
+        counter.calls += 1
+    sims = _unit(a) @ np.swapaxes(_unit(b), -1, -2)
     return np.clip(sims, DTYPE(-1.0), DTYPE(1.0))
 
 
 @dataclass(frozen=True)
 class MergePlan:
-    """The r selected src->dst edges plus the bookkeeping needed to unmerge."""
+    """Each batch element's r selected src->dst edges plus the bookkeeping to unmerge."""
 
-    partition: PartitionPlan
-    element: int
-    n_tokens: int
-    edges: np.ndarray  # (r, 2) int64 rows of (src_flat, dst_flat), ascending src
-    kept_src: np.ndarray  # unmerged src flat indices, ascending
-    merged_token_count: int
+    n_tokens: int  # per element
+    edges: np.ndarray  # (batch, r, 2) int64 rows of (src_flat, dst_flat), ascending src
+    kept_src: np.ndarray  # (batch, src - r) unmerged src flat indices, ascending
+    merged_token_count: int  # per element
 
     def __post_init__(self):
         for name in ("edges", "kept_src"):
@@ -77,22 +95,21 @@ class MergePlan:
 
     @property
     def r(self) -> int:
-        return self.edges.shape[0]
+        return self.edges.shape[1]
 
     @cached_property
     def grouping(self) -> "Grouping":
         """Token groups of this plan, built on first use and shared by every component."""
         return _group(self)
 
-    def edge_set(self) -> set[tuple[int, int]]:
-        return {(int(s), int(d)) for s, d in self.edges}
-
 
 @dataclass(frozen=True)
 class Grouping:
-    """Which merged row every token joins, plus the order merging sums them in.
+    """Which merged row every stacked token joins, plus the order merging sums them in.
 
-    Merged rows are ordered by ascending representative index (the dst token
+    Token `e * n_tokens + i` is token i of batch element e, and element e's
+    merged rows follow those of the elements before it. Within an element,
+    merged rows are ordered by ascending representative index (the dst token
     for merged groups, the token itself otherwise). `sum_order` lists the
     tokens rank by rank: first the lowest-index member of every group, then
     the second member of every group that has one, and so on, with the groups
@@ -101,17 +118,20 @@ class Grouping:
     row `row` in that size order.
     """
 
-    representatives: np.ndarray  # (merged_token_count,) int64
-    group_ids: np.ndarray  # (n_tokens,) int64
-    group_sizes: np.ndarray  # (merged_token_count,) int64
-    sum_order: np.ndarray  # (n_tokens,) int64
+    representatives: np.ndarray  # (batch * merged_token_count,) int64
+    group_ids: np.ndarray  # (batch * n_tokens,) int64
+    group_sizes: np.ndarray  # (batch * merged_token_count,) int64
+    sum_order: np.ndarray  # (batch * n_tokens,) int64
     rank_counts: tuple[int, ...]
-    slot: np.ndarray  # (merged_token_count,) int64
+    slot: np.ndarray  # (batch * merged_token_count,) int64
 
 
 def _group(plan: MergePlan) -> Grouping:
-    n = plan.n_tokens
-    src, dst = plan.edges[:, 0], plan.edges[:, 1]
+    batch = plan.edges.shape[0]
+    n = batch * plan.n_tokens
+    offsets = np.arange(batch)[:, None] * plan.n_tokens
+    src = (plan.edges[..., 0] + offsets).ravel()
+    dst = (plan.edges[..., 1] + offsets).ravel()
     keep = np.ones(n, dtype=bool)
     keep[src] = False
     representatives = np.flatnonzero(keep)
@@ -129,85 +149,52 @@ def _group(plan: MergePlan) -> Grouping:
     sum_order = members[np.argsort(rank * representatives.size + slot[rows], kind="stable")]
     rank_counts = tuple(np.bincount(rank).tolist())
     for arr in (representatives, group_ids, group_sizes, sum_order, slot):
-        arr.flags.writeable = False  # shared by every MergedTokens built from this plan
+        arr.flags.writeable = False  # shared by every component that merges with this plan
     return Grouping(representatives, group_ids, group_sizes, sum_order, rank_counts, slot)
 
 
-def build_merge_plan(x, plan: PartitionPlan, ratio: float, element: int = 0) -> MergePlan:
-    """Select the r most similar src tokens and their best dst targets.
+def build_merge_plan(x, plan: PartitionPlan, ratio: float, share: bool = False) -> MergePlan:
+    """Select each element's r most similar src tokens and their best dst targets.
 
-    `x` is one batch element's (tokens, channels) block input; the plan is
-    built once per block per step from it and reused by every component.
+    `x` is the block input, (batch, tokens, channels); the plan is built once
+    per block per step from it and reused by every component. With `share`,
+    element 0 is planned and its edges serve every element.
     """
     x = np.asarray(x, dtype=DTYPE)
-    n = plan.shape.tokens
-    if x.ndim != 2 or x.shape[0] != n:
-        raise ShapeError(f"expected ({n}, channels) features, got {x.shape}")
+    batch, n = plan.shape.batch, plan.shape.tokens
+    if x.ndim != 3 or x.shape[:2] != (batch, n):
+        raise ShapeError(f"expected ({batch}, {n}, channels) features, got {x.shape}")
 
-    src_idx = plan.src_indices(element)
-    dst_idx = plan.dst_indices(element)
+    mask = plan.dst_mask[:1] if share else plan.dst_mask
+    rows = np.arange(mask.shape[0])[:, None]
+    # Every element has the same dst count, so each side stacks to one array.
+    src_idx = np.nonzero(~mask)[1].reshape(rows.size, -1)
+    dst_idx = np.nonzero(mask)[1].reshape(rows.size, -1)
+    n_src = src_idx.shape[1]
     r = tokens_to_remove(ratio, n)
-    if r > src_idx.size:
+    if r > n_src:
         raise RatioError(
-            f"r={r} exceeds the src set size {src_idx.size}; "
-            f"largest feasible ratio is {src_idx.size / n:.4f}"
+            f"r={r} exceeds the src set size {n_src}; "
+            f"largest feasible ratio is {n_src / n:.4f}"
         )
-    if r == 0:
-        return MergePlan(plan, element, n, np.empty((0, 2), np.int64), src_idx, n)
 
-    sims = cosine_similarity(x[src_idx], x[dst_idx])
-    best_pos = sims.argmax(axis=1)  # first max: lowest dst flat index on ties
-    best_sim = sims[np.arange(src_idx.size), best_pos]
+    sims = cosine_similarity(x[rows, src_idx], x[rows, dst_idx])
+    best_pos = sims.argmax(axis=-1)  # first max: lowest dst flat index on ties
+    best_sim = np.take_along_axis(sims, best_pos[..., None], axis=-1)[..., 0]
 
     # Primary key: similarity descending; secondary: src flat index ascending.
-    order = np.lexsort((np.arange(src_idx.size), -best_sim))
-    chosen = np.sort(order[:r])
-    kept = np.sort(order[r:])
+    ties = np.broadcast_to(np.arange(n_src), best_sim.shape)
+    order = np.lexsort((ties, -best_sim), axis=-1)
+    chosen = np.sort(order[:, :r], axis=-1)
+    kept = np.sort(order[:, r:], axis=-1)
 
-    edges = np.stack([src_idx[chosen], dst_idx[best_pos[chosen]]], axis=1)
-    return MergePlan(plan, element, n, edges, src_idx[kept], n - r)
-
-
-def brute_force_oracle(x, plan: PartitionPlan, ratio: float, element: int = 0) -> MergePlan:
-    """Same contract as build_merge_plan, by exhaustive enumeration. Test use only."""
-    n = plan.shape.tokens
-    if n > 64:
-        raise OracleError(f"oracle limited to 64 tokens, got {n}")
-    x = np.asarray(x, dtype=DTYPE)
-    if x.ndim != 2 or x.shape[0] != n:
-        raise ShapeError(f"expected ({n}, channels) features, got {x.shape}")
-
-    src_idx = [int(i) for i in plan.src_indices(element)]
-    dst_idx = [int(i) for i in plan.dst_indices(element)]
-    r = tokens_to_remove(ratio, n)
-    if r > len(src_idx):
-        raise RatioError(f"r={r} exceeds the src set size {len(src_idx)}")
-
-    sims = cosine_similarity(x[src_idx], x[dst_idx])
-    best: dict[int, tuple[float, int]] = {}
-    for si, s in enumerate(src_idx):
-        top_sim, top_dst = -2.0, -1
-        for di, d in enumerate(dst_idx):
-            sim = float(sims[si, di])
-            if sim > top_sim:  # strict: first (lowest) dst wins ties
-                top_sim, top_dst = sim, d
-        best[s] = (top_sim, top_dst)
-
-    remaining = list(src_idx)
-    selected: list[tuple[int, int]] = []
-    for _ in range(r):
-        winner = None
-        for s in remaining:
-            if winner is None or best[s][0] > best[winner][0]:
-                winner = s  # scan order is ascending src: ties keep the lower index
-        selected.append((winner, best[winner][1]))
-        remaining.remove(winner)
-
-    selected.sort()
-    edges = np.asarray(selected, dtype=np.int64).reshape(len(selected), 2)
-    return MergePlan(plan, element, n, edges, np.asarray(sorted(remaining), np.int64), n - r)
+    edges = np.stack([src_idx[rows, chosen], dst_idx[rows, best_pos[rows, chosen]]], axis=-1)
+    kept_src = src_idx[rows, kept]
+    if share:
+        edges, kept_src = np.repeat(edges, batch, axis=0), np.repeat(kept_src, batch, axis=0)
+    return MergePlan(n, edges, kept_src, n - r)
 
 
 def export_edge_list(plan: MergePlan) -> str:
-    """Edge list as text, one `src_index dst_index` pair per line."""
-    return "".join(f"{int(s)} {int(d)}\n" for s, d in plan.edges)
+    """Batch element 0's edges as text, one `src_index dst_index` pair per line."""
+    return "".join(f"{int(s)} {int(d)}\n" for s, d in plan.edges[0])

@@ -9,15 +9,18 @@ import json
 from dataclasses import dataclass, replace
 from pathlib import Path
 
+import numpy as np
+
 from .config import ConfigError, HarnessConfig, config_dict, harness_from_mapping
 from .diffusion import (ErrorMetrics, build_schedule, compare_to_baseline, denoise,
                         make_init_noise, peak_step, ratio_at)
 from .grid import GridShape, TokenGrid
-from .matching import build_merge_plan, export_edge_list
+from .matching import build_merge_plan, export_edge_list, tokens_to_remove
 from .metrics import RunReport, aggregate, report_csv_row, sweep_csv, timing_dict
 from .partition import PartitionScheme, expected_dst_count, make_partition
 from .rng import StreamRng
-from .unet import RunTrace, UNetModel, UNetSpec, build_spec, init_unet, merged_token_counts
+from .unet import (RunTrace, UNetModel, UNetSpec, build_spec, init_unet, merged_token_counts,
+                   policy_covers)
 from .viz import merge_map_to_ppm, write_partition_ppms
 
 
@@ -34,30 +37,31 @@ def check_partition_sides(partition: PartitionScheme, h: int, w: int) -> int:
 
 
 def validate_capacity(harness: HarnessConfig) -> None:
-    """Reject empty partition sides on merging or rendered grids, and infeasible ratios.
+    """Reject empty partition sides on covered or rendered grids, and infeasible ratios.
 
-    Only the ratios the run's steps use count; the largest of them merges the
-    most blocks and removes the most tokens from each.
+    Only the ratios the run's steps use count; the largest of them covers the
+    most blocks and removes the most tokens from each. The partition must fit
+    every grid the policy covers, also where floor(ratio * N) is 0 and the
+    block does not merge.
     """
     tome = harness.tome
     spec = build_spec(harness)
     schedule = build_schedule(harness)
     peak = peak_step(schedule)
+    ratio = ratio_at(schedule, peak)
     if harness.viz_partition:
         check_partition_sides(tome.partition, *harness.latent)
-    for (_, h, w), merged in zip(spec.block_dims(),
-                                 merged_token_counts(spec, tome, ratio_at(schedule, peak))):
-        if merged is None:
+    for covered, (_, h, w) in zip(policy_covers(spec, tome, ratio), spec.block_dims()):
+        if not covered:
             continue
-        n = h * w
         src = check_partition_sides(tome.partition, h, w)
-        r = n - merged
+        r = tokens_to_remove(ratio, h * w)
         if r > src:
             raise ConfigError(
                 tome.endpoint_key("start" if peak == 0 else "end"),
                 f"r={r} exceeds the {src}-token src set of the {h}x{w} "
                 f"grid under partition {tome.partition.spec_string()}; "
-                f"largest feasible ratio is {src / n:.4f}"
+                f"largest feasible ratio is {src / (h * w):.4f}"
             )
 
 
@@ -140,7 +144,8 @@ def _write_viz(harness: HarnessConfig, out_dir: Path) -> list[Path]:
     noise = make_init_noise(spec, tome.seed)
     ratio = tome.schedule_endpoints()[0]
     if ratio > 0.0:
-        mplan = build_merge_plan(noise.element(0), plan, ratio, element=0)
+        pair = np.concatenate([noise.values] * 2)  # the guidance pair `plan` was drawn for
+        mplan = build_merge_plan(pair, plan, ratio)
         path = out_dir / "merge_map_step0.ppm"
         path.write_bytes(merge_map_to_ppm(mplan, h, w))
         paths.append(path)

@@ -7,9 +7,10 @@ activations are added back through plain skip connections on the way up.
 Weights are randomly initialized from a seed and never trained.
 
 Token merging wraps each block component: one partition and one merge plan
-are built per block per step from the block's input, each enabled component
-sees only the merged tokens, and its output is unmerged before the residual
-add, so the token count entering and leaving every block is unchanged.
+are built per block per step for the whole batch from the block's input,
+each enabled component sees only the merged tokens, and its output is
+unmerged before the residual add, so the token count entering and leaving
+every block is unchanged.
 Attention logits never see group sizes (no proportional attention), and
 prompt tokens are never merged.
 
@@ -20,8 +21,9 @@ equal a loop over elements and heads.
 
 `merged_token_counts` is the single home of the merge policy: which blocks
 merge at a given ratio, and how many tokens their merged components evaluate.
-The forward pass, the FLOP and memory model, the token ledger and the
-capacity check all derive from it.
+The forward pass, the FLOP and memory model and the token ledger all derive
+from it. It builds on `policy_covers` (the blocks the policy applies to at
+all), which the capacity check reads too.
 """
 
 from __future__ import annotations
@@ -33,9 +35,10 @@ import numpy as np
 
 from .config import HarnessConfig, ToMeConfig
 from .grid import GridShape, TokenGrid
-from .matching import MergePlan, build_merge_plan, tokens_to_remove
+from .matching import (SimilarityCounter, build_merge_plan, count_similarity_calls,
+                       tokens_to_remove)
 from .merging import MODE_MERGE, MODE_PRUNE, apply_unmerge, reduce_tokens
-from .partition import PartitionPlan, make_partition
+from .partition import make_partition
 from .rng import StreamRng
 from .tensor import DTYPE, ShapeError, layernorm_rows, matmul, softmax_rows
 
@@ -100,21 +103,32 @@ def build_spec(harness: HarnessConfig) -> UNetSpec:
     )
 
 
+def policy_covers(spec: UNetSpec, tome: ToMeConfig | None, ratio: float) -> tuple[bool, ...]:
+    """Per block in forward order: whether the merge policy covers it at `ratio`.
+
+    The policy covers a block when a policy is given, the ratio is positive
+    and the block holds at least `min_tokens` tokens (by default, the top
+    scale's).
+    """
+    if tome is None or ratio <= 0.0:
+        return (False,) * spec.n_blocks
+    min_tokens = tome.min_tokens_for(spec.top_tokens)
+    return tuple(h * w >= min_tokens for _, h, w in spec.block_dims())
+
+
 def merged_token_counts(
     spec: UNetSpec, tome: ToMeConfig | None, ratio: float
 ) -> tuple[int | None, ...]:
     """Per block in forward order: N - floor(ratio * N) if it merges, else None.
 
-    A block merges when a policy is given, the ratio is positive and the
-    block holds at least `min_tokens` tokens (by default, the top scale's).
+    A block merges when the policy covers it and floor(ratio * N) removes at
+    least one token.
     """
-    if tome is None or ratio <= 0.0:
-        return (None,) * spec.n_blocks
-    min_tokens = tome.min_tokens_for(spec.top_tokens)
-    return tuple(
-        n - tokens_to_remove(ratio, n) if n >= min_tokens else None
-        for n in (h * w for _, h, w in spec.block_dims())
-    )
+    counts = []
+    for covered, (_, h, w) in zip(policy_covers(spec, tome, ratio), spec.block_dims()):
+        r = tokens_to_remove(ratio, h * w) if covered else 0
+        counts.append(h * w - r if r else None)
+    return tuple(counts)
 
 
 def attention_tiles(pairs: int, n: int, m: int) -> list[tuple[slice, slice]]:
@@ -257,27 +271,6 @@ class UNetModel:
 
     # -- block --------------------------------------------------------------
 
-    def _build_plans(
-        self,
-        values: np.ndarray,
-        height: int,
-        width: int,
-        tome: ToMeConfig,
-        ratio: float,
-        step: int,
-        layer: int,
-    ) -> tuple[PartitionPlan, list[MergePlan]]:
-        batch = values.shape[0]
-        part = make_partition(
-            GridShape(batch, height, width), tome.partition, StreamRng(tome.seed), step, layer
-        )
-        if tome.share_guidance_edges:
-            first = build_merge_plan(values[0], part, ratio, element=0)
-            plans = [first] * batch
-        else:
-            plans = [build_merge_plan(values[e], part, ratio, element=e) for e in range(batch)]
-        return part, plans
-
     def _block(
         self,
         values: np.ndarray,
@@ -294,27 +287,27 @@ class UNetModel:
         batch, n_tokens, channels = values.shape
         weights = self.blocks[layer]
         if eligible:
-            part, plans = self._build_plans(values, height, width, tome, ratio, step, layer)
+            part = make_partition(GridShape(batch, height, width), tome.partition,
+                                  StreamRng(tome.seed), step, layer)
+            similarity = SimilarityCounter()
+            with count_similarity_calls(similarity):
+                plan = build_merge_plan(values, part, ratio, tome.share_guidance_edges)
         mode = MODE_PRUNE if (tome is not None and tome.prune) else MODE_MERGE
-        received: set[int] = set()  # row counts the merged components were given
+        received = n_tokens  # token rows per element the last merged component was given
 
         def pass_through(merge: bool, component) -> np.ndarray:
             # component(tokens) -> tokens on a (batch, rows, channels) stack; it
-            # sees merged tokens when wrapped. Plans differ per element, so the
-            # merge and unmerge run per element around one stacked component call.
+            # sees merged tokens when wrapped. Merge and unmerge run once on the
+            # stacked (batch * rows, channels) rows.
+            nonlocal received
             normed = layernorm_rows(values.reshape(batch * n_tokens, channels))
-            normed = normed.reshape(values.shape)
             if not merge:
-                return values + component(normed)
-            reduced = [reduce_tokens(normed[e], plans[e], mode) for e in range(batch)]
-            received.update(r.values.shape[0] for r in reduced)
-            if len(received) != 1:
-                raise ShapeError(
-                    f"block {layer}: merged components received {sorted(received)} token rows"
-                )
-            out = component(np.stack([r.values for r in reduced]))
-            return values + np.stack([apply_unmerge(r.with_values(o))
-                                      for r, o in zip(reduced, out)])
+                return values + component(normed.reshape(values.shape))
+            reduced = reduce_tokens(normed, plan.grouping, mode)
+            received = reduced.shape[0] // batch
+            out = component(reduced.reshape(batch, received, channels))
+            restored = apply_unmerge(out.reshape(-1, channels), plan.grouping, mode)
+            return values + restored.reshape(values.shape)
 
         values = pass_through(eligible and tome.apply_self,
                               lambda t: self._self_attention(t, weights))
@@ -323,18 +316,12 @@ class UNetModel:
         values = pass_through(eligible and tome.apply_mlp, lambda t: self._mlp(t, weights))
 
         if trace is not None:
-            if not eligible:
-                trace.add(BlockTraceRecord(
-                    step=step, layer=layer, n_tokens=n_tokens, eligible=False,
-                    r=0, merged_token_count=n_tokens, similarity_computes=0,
-                ))
-            else:
-                trace.add(BlockTraceRecord(
-                    step=step, layer=layer, n_tokens=n_tokens, eligible=True,
-                    r=plans[0].r, merged_token_count=received.pop(),
-                    similarity_computes=1, dst_count=part.dst_count,
-                    dst_masks=part.packed_masks(),
-                ))
+            record = BlockTraceRecord(step=step, layer=layer, n_tokens=n_tokens, eligible=eligible,
+                                      r=0, merged_token_count=received, similarity_computes=0)
+            if eligible:
+                record.r, record.similarity_computes = plan.r, similarity.calls
+                record.dst_count, record.dst_masks = part.dst_count, part.packed_masks()
+            trace.add(record)
         return values
 
     # -- model --------------------------------------------------------------

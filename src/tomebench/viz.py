@@ -8,7 +8,6 @@ from pathlib import Path
 import numpy as np
 
 from .matching import MergePlan
-from .merging import apply_merge
 from .partition import PartitionPlan
 
 WHITE = (255, 255, 255)
@@ -39,14 +38,12 @@ def group_color(index: int) -> tuple[int, int, int]:
 
 
 def merge_map_to_ppm(plan: MergePlan, height: int, width: int) -> bytes:
-    """Each merged group is tinted one color; singleton tokens stay dark gray."""
-    dummy = np.zeros((plan.n_tokens, 1), dtype=np.float32)
-    merged = apply_merge(dummy, plan)
-    pixels = np.zeros((plan.n_tokens, 3), dtype=np.uint8)
-    for row in range(merged.merged_token_count):
-        members = merged.members(row)
-        color = group_color(row) if members.size > 1 else (40, 40, 40)
-        pixels[members] = color
+    """Batch element 0's merged groups, one color each; singleton tokens stay dark gray."""
+    g = plan.grouping
+    rows = plan.merged_token_count  # element 0's merged rows come first
+    colors = np.array([group_color(row) for row in range(rows)], dtype=np.uint8).reshape(rows, 3)
+    colors[g.group_sizes[:rows] == 1] = (40, 40, 40)
+    pixels = colors[g.group_ids[:plan.n_tokens]]
     return _ppm(pixels.reshape(height, width, 3))
 
 

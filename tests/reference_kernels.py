@@ -1,24 +1,123 @@
 """Reference kernels: the straightforward allocate-per-operation versions.
 
 These are the earlier implementations of the step's elementwise kernels, the
-per-element block loop and per-head attention, the token grouping and merge,
-and the rand-tile draw, kept unchanged so tests can assert that the
-allocation-lean and batched versions in `tomebench` produce the same bytes.
-Nothing in `src/` imports this module.
+per-element block loop and per-head attention, the per-element merge planner
+with its token grouping and merge, and the rand-tile draw, kept unchanged so
+tests can assert that the allocation-lean and batched versions in
+`tomebench` produce the same bytes. `brute_force_oracle` re-derives a plan by
+exhaustive greedy enumeration over all src->dst edges; it shares the cosine
+metric (which has its own directly-verified contract) but none of the
+selection code. Nothing in `src/` imports this module.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from tomebench.grid import GridShape
-from tomebench.matching import MergePlan
-from tomebench.merging import MODE_MERGE, MODE_PRUNE, MergedTokens, _check_shape
-from tomebench.partition import PartitionScheme
+from tomebench.matching import RatioError, cosine_similarity, tokens_to_remove
+from tomebench.merging import MODE_MERGE, MODE_PRUNE
+from tomebench.partition import PartitionPlan, PartitionScheme, make_partition
+from tomebench.rng import StreamRng
 from tomebench.tensor import DTYPE, ShapeError, _check_finite, as_matrix, matmul
 from tomebench.unet import BlockTraceRecord
+
+
+class OracleError(ValueError):
+    """The brute-force oracle refuses instances above its size cap."""
+
+
+@dataclass(frozen=True)
+class ElementPlan:
+    """One batch element's r selected src->dst edges plus the bookkeeping to unmerge."""
+
+    n_tokens: int
+    edges: np.ndarray  # (r, 2) int64 rows of (src_flat, dst_flat), ascending src
+    kept_src: np.ndarray  # unmerged src flat indices, ascending
+    merged_token_count: int
+
+    @property
+    def r(self) -> int:
+        return self.edges.shape[0]
+
+
+def edge_set(edges) -> set[tuple[int, int]]:
+    """The (src, dst) pairs of an (r, 2) edge array."""
+    return {(int(s), int(d)) for s, d in edges}
+
+
+def build_merge_plan(x, plan: PartitionPlan, ratio: float, element: int = 0) -> ElementPlan:
+    """Select one element's r most similar src tokens and their best dst targets."""
+    x = np.asarray(x, dtype=DTYPE)
+    n = plan.shape.tokens
+    if x.ndim != 2 or x.shape[0] != n:
+        raise ShapeError(f"expected ({n}, channels) features, got {x.shape}")
+
+    src_idx = plan.src_indices(element)
+    dst_idx = plan.dst_indices(element)
+    r = tokens_to_remove(ratio, n)
+    if r > src_idx.size:
+        raise RatioError(
+            f"r={r} exceeds the src set size {src_idx.size}; "
+            f"largest feasible ratio is {src_idx.size / n:.4f}"
+        )
+    if r == 0:
+        return ElementPlan(n, np.empty((0, 2), np.int64), src_idx, n)
+
+    sims = cosine_similarity(x[src_idx], x[dst_idx])
+    best_pos = sims.argmax(axis=1)  # first max: lowest dst flat index on ties
+    best_sim = sims[np.arange(src_idx.size), best_pos]
+
+    # Primary key: similarity descending; secondary: src flat index ascending.
+    order = np.lexsort((np.arange(src_idx.size), -best_sim))
+    chosen = np.sort(order[:r])
+    kept = np.sort(order[r:])
+
+    edges = np.stack([src_idx[chosen], dst_idx[best_pos[chosen]]], axis=1)
+    return ElementPlan(n, edges, src_idx[kept], n - r)
+
+
+def brute_force_oracle(x, plan: PartitionPlan, ratio: float, element: int = 0) -> ElementPlan:
+    """Same contract as build_merge_plan, by exhaustive enumeration."""
+    n = plan.shape.tokens
+    if n > 64:
+        raise OracleError(f"oracle limited to 64 tokens, got {n}")
+    x = np.asarray(x, dtype=DTYPE)
+    if x.ndim != 2 or x.shape[0] != n:
+        raise ShapeError(f"expected ({n}, channels) features, got {x.shape}")
+
+    src_idx = [int(i) for i in plan.src_indices(element)]
+    dst_idx = [int(i) for i in plan.dst_indices(element)]
+    r = tokens_to_remove(ratio, n)
+    if r > len(src_idx):
+        raise RatioError(f"r={r} exceeds the src set size {len(src_idx)}")
+
+    sims = cosine_similarity(x[src_idx], x[dst_idx])
+    best: dict[int, tuple[float, int]] = {}
+    for si, s in enumerate(src_idx):
+        top_sim, top_dst = -2.0, -1
+        for di, d in enumerate(dst_idx):
+            sim = float(sims[si, di])
+            if sim > top_sim:  # strict: first (lowest) dst wins ties
+                top_sim, top_dst = sim, d
+        best[s] = (top_sim, top_dst)
+
+    remaining = list(src_idx)
+    selected: list[tuple[int, int]] = []
+    for _ in range(r):
+        winner = None
+        for s in remaining:
+            if winner is None or best[s][0] > best[winner][0]:
+                winner = s  # scan order is ascending src: ties keep the lower index
+        selected.append((winner, best[winner][1]))
+        remaining.remove(winner)
+
+    selected.sort()
+    edges = np.asarray(selected, dtype=np.int64).reshape(len(selected), 2)
+    return ElementPlan(n, edges, np.asarray(sorted(remaining), np.int64), n - r)
 
 
 def softmax_rows(a) -> np.ndarray:
@@ -76,7 +175,12 @@ def block(self, values, height, width, prompts, tome, ratio, eligible, step, lay
     batch, n_tokens, _ = values.shape
     weights = self.blocks[layer]
     if eligible:
-        part, plans = self._build_plans(values, height, width, tome, ratio, step, layer)
+        part = make_partition(GridShape(batch, height, width), tome.partition,
+                              StreamRng(tome.seed), step, layer)
+        if tome.share_guidance_edges:
+            plans = [build_merge_plan(values[0], part, ratio, element=0)] * batch
+        else:
+            plans = [build_merge_plan(values[e], part, ratio, element=e) for e in range(batch)]
     mode = MODE_PRUNE if (tome is not None and tome.prune) else MODE_MERGE
     received: set[int] = set()  # row counts the merged components were given
 
@@ -87,8 +191,8 @@ def block(self, values, height, width, prompts, tome, ratio, eligible, step, lay
             normed = layernorm_rows(values[e])
             if merge:
                 reduced = reduce_tokens(normed, plans[e], mode)
-                received.add(reduced.values.shape[0])
-                out = apply_unmerge(reduced.with_values(component(e, reduced.values)))
+                received.add(reduced.shape[0])
+                out = apply_unmerge(component(e, reduced), plans[e], mode)
             else:
                 out = component(e, normed)
             rows.append(values[e] + out)
@@ -120,7 +224,7 @@ def block(self, values, height, width, prompts, tome, ratio, eligible, step, lay
     return values
 
 
-def grouping(plan: MergePlan) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def grouping(plan: ElementPlan) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(representatives, group_ids, group_sizes) for a plan."""
     n = plan.n_tokens
     target = np.arange(n, dtype=np.int64)
@@ -132,26 +236,21 @@ def grouping(plan: MergePlan) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return representatives, group_ids, group_sizes
 
 
-def apply_merge(x, plan: MergePlan) -> MergedTokens:
+def apply_merge(x, plan: ElementPlan) -> np.ndarray:
     """Merge the planned src tokens into their dst groups by group mean."""
-    x = _check_shape(x, plan)
+    x = np.asarray(x, dtype=DTYPE)
     representatives, group_ids, group_sizes = grouping(plan)
     sums = np.zeros((representatives.size, x.shape[1]), dtype=np.float64)
     np.add.at(sums, group_ids, x.astype(np.float64))
-    values = (sums / group_sizes[:, None]).astype(DTYPE)
-    return MergedTokens(values, group_sizes, plan, group_ids, representatives, MODE_MERGE)
+    return (sums / group_sizes[:, None]).astype(DTYPE)
 
 
-def prune_reduce(x, plan: MergePlan) -> MergedTokens:
+def prune_reduce(x, plan: ElementPlan) -> np.ndarray:
     """Drop the planned src tokens, keeping survivors unchanged."""
-    x = _check_shape(x, plan)
-    representatives, group_ids, group_sizes = grouping(plan)
-    return MergedTokens(
-        x[representatives].copy(), group_sizes, plan, group_ids, representatives, MODE_PRUNE
-    )
+    return np.asarray(x, dtype=DTYPE)[grouping(plan)[0]].copy()
 
 
-def reduce_tokens(x, plan: MergePlan, mode: str = MODE_MERGE) -> MergedTokens:
+def reduce_tokens(x, plan: ElementPlan, mode: str = MODE_MERGE) -> np.ndarray:
     if mode == MODE_MERGE:
         return apply_merge(x, plan)
     if mode == MODE_PRUNE:
@@ -159,11 +258,12 @@ def reduce_tokens(x, plan: MergePlan, mode: str = MODE_MERGE) -> MergedTokens:
     raise ValueError(f"unknown reduction mode {mode!r}")
 
 
-def apply_unmerge(merged: MergedTokens) -> np.ndarray:
-    if merged.mode == MODE_MERGE:
-        return merged.values[merged.group_ids].copy()
-    out = np.zeros((merged.origin.n_tokens, merged.values.shape[1]), dtype=DTYPE)
-    out[merged.representatives] = merged.values
+def apply_unmerge(values, plan: ElementPlan, mode: str = MODE_MERGE) -> np.ndarray:
+    representatives, group_ids, _ = grouping(plan)
+    if mode == MODE_MERGE:
+        return values[group_ids].copy()
+    out = np.zeros((plan.n_tokens, values.shape[1]), dtype=DTYPE)
+    out[representatives] = values
     return out
 
 
@@ -175,5 +275,5 @@ def rand_tile_mask(shape: GridShape, scheme: PartitionScheme, gen: np.random.Gen
             tw = min(scheme.tx, shape.width - x0)
             pick = int(gen.integers(th * tw))
             y, x = y0 + pick // tw, x0 + pick % tw
-            mask[shape.flat_index(y, x)] = True
+            mask[y * shape.width + x] = True
     return mask

@@ -19,7 +19,6 @@ from tomebench import (
     Schedule,
     ToMeConfig,
     UNetSpec,
-    brute_force_oracle,
     build_merge_plan,
     compare_to_baseline,
     denoise,
@@ -30,11 +29,12 @@ from tomebench import (
     speedup_estimate,
 )
 from tomebench.grid import GridShape
-from tomebench.merging import apply_merge, apply_unmerge
+from tomebench.merging import apply_unmerge, reduce_tokens
 from tomebench.partition import PartitionScheme, dst_fraction
 from tomebench.rng import StreamRng
 from tomebench.runner import execute_run
 from tomebench.tensor import DTYPE
+from reference_kernels import brute_force_oracle, edge_set
 
 
 def _pass(criterion: int, message: str) -> None:
@@ -86,11 +86,11 @@ def test_criterion_1_matching_oracle_equivalence():
         plan = make_partition(GridShape(1, h, w), scheme, StreamRng(cases), cases % 11, cases % 5)
         src = plan.src_indices(0).size
         ratio = float(nprng.uniform(0.0, src / (h * w)))
-        got = build_merge_plan(x, plan, ratio)
+        got = build_merge_plan(x[None], plan, ratio)
         want = brute_force_oracle(x, plan, ratio)
-        assert got.edge_set() == want.edge_set()
-        assert np.array_equal(got.edges, want.edges)
-        assert np.array_equal(got.kept_src, want.kept_src)
+        assert edge_set(got.edges[0]) == edge_set(want.edges)
+        assert np.array_equal(got.edges[0], want.edges)
+        assert np.array_equal(got.kept_src[0], want.kept_src)
         assert got.merged_token_count == want.merged_token_count
         cases += 1
     elapsed = time.perf_counter() - started
@@ -98,11 +98,11 @@ def test_criterion_1_matching_oracle_equivalence():
     _pass(1, f"1000 oracle-equal instances in {elapsed:.2f}s (< 10s)")
 
 
-def _group_mean_oracle(x, merged):
+def _group_mean_oracle(x, grouping):
     """Independent group mean: double-precision scalar loop, ascending index."""
-    out = np.empty_like(merged.values)
-    for row in range(merged.merged_token_count):
-        members = np.flatnonzero(merged.group_ids == row)
+    out = np.empty((grouping.group_sizes.size, x.shape[1]), dtype=DTYPE)
+    for row in range(grouping.group_sizes.size):
+        members = np.flatnonzero(grouping.group_ids == row)
         acc = np.zeros(x.shape[1], dtype=np.float64)
         for token in members:
             acc = acc + x[token].astype(np.float64)
@@ -121,24 +121,24 @@ def test_criterion_2_merge_unmerge_contract():
         plan = make_partition(GridShape(1, h, w), scheme, StreamRng(case))
         src = plan.src_indices(0).size
         ratio = float(nprng.uniform(0.0, src / (h * w)))
-        mplan = build_merge_plan(x, plan, ratio)
-        merged = apply_merge(x, mplan)
-        out = apply_unmerge(merged)
+        g = build_merge_plan(x[None], plan, ratio).grouping
+        merged = reduce_tokens(x, g)
+        out = apply_unmerge(merged, g)
 
-        assert np.array_equal(merged.values, _group_mean_oracle(x, merged))
+        assert np.array_equal(merged, _group_mean_oracle(x, g))
         for token in range(h * w):
-            row = merged.group_ids[token]
-            if merged.group_sizes[row] == 1:
+            row = g.group_ids[token]
+            if g.group_sizes[row] == 1:
                 assert np.array_equal(out[token], x[token])  # untouched positions exact
             else:
-                assert np.array_equal(out[token], merged.values[row])
+                assert np.array_equal(out[token], merged[row])
 
         # equal group members -> exact round trip, same plan
         x_eq = x.copy()
-        for row in range(merged.merged_token_count):
-            members = np.flatnonzero(merged.group_ids == row)
+        for row in range(g.group_sizes.size):
+            members = np.flatnonzero(g.group_ids == row)
             x_eq[members] = x_eq[members[0]]
-        round_trip = apply_unmerge(apply_merge(x_eq, mplan))
+        round_trip = apply_unmerge(reduce_tokens(x_eq, g), g)
         assert np.array_equal(round_trip, x_eq)
     _pass(2, "1000 round trips: unmerged exact, merged == ascending-order group mean, equal groups exact")
 

@@ -54,6 +54,22 @@ class TestRun:
             n = block["n_tokens"]
             assert block["merged_token_count"] == n - n // 2
 
+    def test_blocks_removing_no_token_do_not_merge(self, tmp_path, monkeypatch):
+        # floor(0.01 * N) == 0 on every grid up to 8x8: no block draws a partition or
+        # builds a plan, and the run is its own baseline
+        def refuse(*args, **kwargs):
+            raise AssertionError("a block that removes no token drew a partition")
+
+        monkeypatch.setattr("tomebench.unet.make_partition", refuse)
+        out = tmp_path / "r0"
+        assert main(["run", "--latent", "8x8", "--steps", "2", "--ratio", "0.01",
+                     "--min-tokens", "1", "--apply", "self,cross,mlp", "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["similarity_computes"] == 0
+        assert not any(block["eligible"] for block in report["tokens"]["per_block"])
+        assert report["tokens"]["merged_eval_total"] == 0
+        assert report["errors"]["rel_l2"] == 0.0
+
     def test_no_compare_baseline(self, tmp_path):
         out = tmp_path / "r3"
         assert main(["run", *BASE, "--ratio", "0.5", "--no-compare-baseline",

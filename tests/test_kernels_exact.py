@@ -123,61 +123,99 @@ def scheme_of(text: str, batch_fix: bool = True) -> PartitionScheme:
 
 @st.composite
 def merge_cases(draw):
-    """(x, plan) over odd and even grids, ragged tiles, and large groups."""
+    """(x, plan, reference plans) over odd and even grids, ragged tiles and large groups.
+
+    Batches of one and two elements, with and without `batch_fix` and shared
+    guidance edges, and r from 0 up to the src count.
+    """
+    batch = draw(st.integers(1, 2))
     height, width = draw(st.integers(1, 14)), draw(st.integers(1, 14))
-    scheme = scheme_of(draw(st.sampled_from(SCHEMES)))
+    scheme = scheme_of(draw(st.sampled_from(SCHEMES)), draw(st.booleans()))
+    share = draw(st.booleans())
     seed = draw(st.integers(0, 2**32))
     try:
-        part = make_partition(GridShape(1, height, width), scheme, StreamRng(seed))
+        part = make_partition(GridShape(batch, height, width), scheme, StreamRng(seed))
     except PartitionError:
         assume(False)
     n = height * width
     src = n - part.dst_count
     r = draw(st.integers(0, src))
     channels = draw(st.integers(1, 5))
-    x = draw(arrays(DTYPE, (n, channels), elements=finite32))
-    feats = np.random.default_rng(seed).standard_normal((n, 3)).astype(DTYPE)
+    x = draw(arrays(DTYPE, (batch * n, channels), elements=finite32))
+    feats = np.random.default_rng(seed).standard_normal((batch, n, 3)).astype(DTYPE)
     ratio = r / n
     # floor(ratio * n) can land one below r; either way the plan is valid.
-    return x, build_merge_plan(feats, part, ratio)
+    plan = build_merge_plan(feats, part, ratio, share)
+    if share:
+        refs = [ref.build_merge_plan(feats[0], part, ratio, element=0)] * batch
+    else:
+        refs = [ref.build_merge_plan(feats[e], part, ratio, element=e) for e in range(batch)]
+    return x, plan, refs
 
 
-def assert_same_merge(x, plan, mode):
-    new, old = reduce_tokens(x, plan, mode), ref.reduce_tokens(x, plan, mode)
-    for name in ("values", "group_sizes", "group_ids", "representatives"):
-        assert getattr(new, name).tobytes() == getattr(old, name).tobytes(), name
-    assert apply_unmerge(new).tobytes() == ref.apply_unmerge(old).tobytes()
+def assert_same_plan(plan, refs):
+    m = plan.merged_token_count
+    g = plan.grouping
+    for e, old in enumerate(refs):
+        assert plan.edges[e].tobytes() == old.edges.tobytes()
+        assert plan.kept_src[e].tobytes() == old.kept_src.tobytes()
+        assert (plan.r, m) == (old.r, old.merged_token_count)
+        representatives, group_ids, group_sizes = ref.grouping(old)
+        rows, tokens = slice(e * m, (e + 1) * m), slice(e * plan.n_tokens, (e + 1) * plan.n_tokens)
+        assert (g.representatives[rows] - e * plan.n_tokens).tobytes() == representatives.tobytes()
+        assert (g.group_ids[tokens] - e * m).tobytes() == group_ids.tobytes()
+        assert g.group_sizes[rows].tobytes() == group_sizes.tobytes()
+
+
+def assert_same_merge(x, plan, refs, mode):
+    """The stacked reduce and unmerge equal the per-element reference, element by element."""
+    n = plan.n_tokens
+    new = reduce_tokens(x, plan.grouping, mode)
+    old = [ref.reduce_tokens(x[e * n:(e + 1) * n], p, mode) for e, p in enumerate(refs)]
+    assert new.tobytes() == np.concatenate(old).tobytes()
+    # unmerge component outputs that differ from the reduced rows
+    out = -new[::-1]
+    m = plan.merged_token_count
+    want = [ref.apply_unmerge(out[e * m:(e + 1) * m], p, mode) for e, p in enumerate(refs)]
+    assert apply_unmerge(out, plan.grouping, mode).tobytes() == np.concatenate(want).tobytes()
 
 
 class TestMergePath:
     @settings(max_examples=300, deadline=None)
     @given(merge_cases(), st.sampled_from([MODE_MERGE, MODE_PRUNE]))
     def test_reduce_and_unmerge(self, case, mode):
-        x, plan = case
-        assert_same_merge(x, plan, mode)
+        x, plan, refs = case
+        assert_same_plan(plan, refs)
+        assert_same_merge(x, plan, refs, mode)
 
     def test_large_groups(self, nprng):
-        part = make_partition(GridShape(1, 16, 16), PartitionScheme.random(0.05), StreamRng(4))
-        feats = nprng.standard_normal((256, 4)).astype(DTYPE)
+        part = make_partition(GridShape(2, 16, 16), PartitionScheme.random(0.05, False),
+                              StreamRng(4))
+        feats = nprng.standard_normal((2, 256, 4)).astype(DTYPE)
         plan = build_merge_plan(feats, part, 0.9)
         assert plan.grouping.group_sizes.max() > 8
+        refs = [ref.build_merge_plan(feats[e], part, 0.9, element=e) for e in range(2)]
+        assert_same_plan(plan, refs)
         # Wide dynamic range makes every association order round differently.
-        x = (nprng.standard_normal((256, 6)) * 10.0 ** nprng.integers(-20, 20, (256, 6)))
-        assert_same_merge(x.astype(DTYPE), plan, MODE_MERGE)
+        x = (nprng.standard_normal((512, 6)) * 10.0 ** nprng.integers(-20, 20, (512, 6)))
+        assert_same_merge(x.astype(DTYPE), plan, refs, MODE_MERGE)
 
     def test_signed_zero_members(self):
-        plan = build_merge_plan(np.ones((4, 1), DTYPE), hand_plan([True] + [False] * 3, 1, 4), 0.75)
+        part = hand_plan([True] + [False] * 3, 1, 4)
+        feats = np.ones((1, 4, 1), DTYPE)
+        plan = build_merge_plan(feats, part, 0.75)
+        refs = [ref.build_merge_plan(feats[0], part, 0.75)]
         x = np.full((4, 2), -0.0, dtype=DTYPE)
-        assert_same_merge(x, plan, MODE_MERGE)
+        assert_same_merge(x, plan, refs, MODE_MERGE)
 
     def test_one_token_plan(self):
-        plan = MergePlan(hand_plan([True], 1, 1), 0, 1, np.empty((0, 2), np.int64),
-                         np.empty(0, np.int64), 1)
-        assert_same_merge(np.array([[-0.0, 2.5]], DTYPE), plan, MODE_MERGE)
+        plan = MergePlan(1, np.empty((1, 0, 2), np.int64), np.empty((1, 0), np.int64), 1)
+        refs = [ref.ElementPlan(1, np.empty((0, 2), np.int64), np.empty(0, np.int64), 1)]
+        assert_same_merge(np.array([[-0.0, 2.5]], DTYPE), plan, refs, MODE_MERGE)
 
     def test_grouping_built_once(self, nprng):
-        part = make_partition(GridShape(1, 8, 8), PartitionScheme.rand_tile(2, 2), StreamRng(0))
-        plan = build_merge_plan(nprng.standard_normal((64, 4)).astype(DTYPE), part, 0.5)
+        part = make_partition(GridShape(2, 8, 8), PartitionScheme.rand_tile(2, 2), StreamRng(0))
+        plan = build_merge_plan(nprng.standard_normal((2, 64, 4)).astype(DTYPE), part, 0.5)
         assert plan.grouping is plan.grouping
         assert not plan.grouping.group_ids.flags.writeable
 
@@ -199,8 +237,6 @@ def patch_reference_kernels(monkeypatch):
     monkeypatch.setattr(unet, "softmax_rows", ref.softmax_rows)
     monkeypatch.setattr(unet, "layernorm_rows", ref.layernorm_rows)
     monkeypatch.setattr(unet, "_gelu", ref.gelu)
-    monkeypatch.setattr(unet, "reduce_tokens", ref.reduce_tokens)
-    monkeypatch.setattr(unet, "apply_unmerge", ref.apply_unmerge)
     monkeypatch.setattr(unet.UNetModel, "_attention", ref.attention)
     monkeypatch.setattr(unet.UNetModel, "_block", ref.block)
     monkeypatch.setattr(partition, "_rand_tile_mask", ref.rand_tile_mask)

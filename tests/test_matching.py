@@ -3,11 +3,11 @@ import pytest
 
 from tomebench.grid import GridShape
 from tomebench.matching import (
-    OracleError,
     RatioError,
-    brute_force_oracle,
+    SimilarityCounter,
     build_merge_plan,
     cosine_similarity,
+    count_similarity_calls,
     export_edge_list,
     tokens_to_remove,
 )
@@ -16,6 +16,7 @@ from tomebench.rng import StreamRng
 from tomebench.tensor import DTYPE, ShapeError
 
 from conftest import hand_plan
+from reference_kernels import OracleError, brute_force_oracle, edge_set
 
 SCHEMES = (
     PartitionScheme.alternating(),
@@ -49,6 +50,25 @@ class TestCosineSimilarity:
         sims = cosine_similarity(a, a)
         assert sims.max() <= 1.0 and sims.min() >= -1.0
 
+    def test_stack_pairs_matrix_by_matrix(self, nprng):
+        a = nprng.standard_normal((2, 7, 5)).astype(DTYPE)
+        b = nprng.standard_normal((2, 3, 5)).astype(DTYPE)
+        sims = cosine_similarity(a, b)
+        for e in range(2):
+            assert sims[e].tobytes() == cosine_similarity(a[e], b[e]).tobytes()
+
+    def test_stack_mismatch(self):
+        with pytest.raises(ShapeError):
+            cosine_similarity(np.zeros((2, 3, 4), DTYPE), np.zeros((1, 3, 4), DTYPE))
+
+    def test_counts_calls_inside_the_with_body(self):
+        counter = SimilarityCounter()
+        with count_similarity_calls(counter):
+            cosine_similarity([[1.0]], [[1.0]])
+            cosine_similarity(np.ones((2, 3, 1), DTYPE), np.ones((2, 1, 1), DTYPE))
+        cosine_similarity([[1.0]], [[1.0]])
+        assert counter.calls == 2
+
 
 class TestTokensToRemove:
     def test_floor(self):
@@ -65,36 +85,36 @@ class TestTokensToRemove:
 
 class TestBuildMergePlan:
     def test_identical_tokens_tie_break(self):
-        x = np.ones((4, 3), dtype=DTYPE)
+        x = np.ones((1, 4, 3), dtype=DTYPE)
         plan = make_partition(GridShape(1, 2, 2), PartitionScheme.alternating(), StreamRng(0))
         mplan = build_merge_plan(x, plan, 0.5)
         assert mplan.r == 2
         assert mplan.merged_token_count == 2
         # both src tokens (0, 2) merge into the first dst (flat 1)
-        assert mplan.edge_set() == {(0, 1), (2, 1)}
-        assert list(mplan.kept_src) == []
+        assert edge_set(mplan.edges[0]) == {(0, 1), (2, 1)}
+        assert list(mplan.kept_src[0]) == []
 
     def test_enumerated_selection(self):
         # tokens: src0=[1,0] src1=[0,1] src2=[0.6,0.8] dst0=[1,0] dst1=[0,1]
-        x = np.array([[1, 0], [0, 1], [0.6, 0.8], [1, 0], [0, 1]], dtype=DTYPE)
+        x = np.array([[[1, 0], [0, 1], [0.6, 0.8], [1, 0], [0, 1]]], dtype=DTYPE)
         plan = hand_plan([False, False, False, True, True], 1, 5)
         mplan = build_merge_plan(x, plan, 0.2)  # floor(0.2*5) = 1
         assert mplan.r == 1
         # src0 and src1 both have best similarity 1.0; the lower src index wins,
         # and src0's best dst is the lower-index dst0 (flat 3)
-        assert mplan.edge_set() == {(0, 3)}
-        assert list(mplan.kept_src) == [1, 2]
+        assert edge_set(mplan.edges[0]) == {(0, 3)}
+        assert list(mplan.kept_src[0]) == [1, 2]
 
     def test_ratio_zero_is_identity_plan(self):
-        x = np.ones((16, 2), dtype=DTYPE)
+        x = np.ones((1, 16, 2), dtype=DTYPE)
         plan = make_partition(GridShape(1, 4, 4), PartitionScheme.strided(2, 2), StreamRng(0))
         mplan = build_merge_plan(x, plan, 0.0)
         assert mplan.r == 0
         assert mplan.merged_token_count == 16
-        assert list(mplan.kept_src) == list(plan.src_indices(0))
+        assert list(mplan.kept_src[0]) == list(plan.src_indices(0))
 
     def test_ratio_beyond_src_capacity(self):
-        x = np.ones((16, 2), dtype=DTYPE)
+        x = np.ones((1, 16, 2), dtype=DTYPE)
         plan = make_partition(GridShape(1, 4, 4), PartitionScheme.alternating(), StreamRng(0))
         with pytest.raises(RatioError, match="feasible"):
             build_merge_plan(x, plan, 0.6)
@@ -104,20 +124,22 @@ class TestBuildMergePlan:
             x = nprng.standard_normal((24, 4)).astype(DTYPE)
             plan = make_partition(GridShape(1, 4, 6), PartitionScheme.rand_tile(2, 2),
                                   StreamRng(int(nprng.integers(1 << 30))))
-            mplan = build_merge_plan(x, plan, 0.3)
+            mplan = build_merge_plan(x[None], plan, 0.3)
             sims = cosine_similarity(x[plan.src_indices(0)], x[plan.dst_indices(0)])
             best = dict(zip(plan.src_indices(0), sims.max(axis=1)))
-            selected = {int(s) for s, _ in mplan.edges}
+            selected = {int(s) for s, _ in mplan.edges[0]}
             if not selected:
                 continue
             worst_selected = min(best[s] for s in selected)
-            for s in mplan.kept_src:
+            for s in mplan.kept_src[0]:
                 assert best[int(s)] <= worst_selected
 
     def test_wrong_token_count(self):
         plan = make_partition(GridShape(1, 2, 2), PartitionScheme.alternating(), StreamRng(0))
         with pytest.raises(ShapeError):
-            build_merge_plan(np.ones((5, 2), DTYPE), plan, 0.5)
+            build_merge_plan(np.ones((1, 5, 2), DTYPE), plan, 0.5)
+        with pytest.raises(ShapeError):
+            build_merge_plan(np.ones((4, 2), DTYPE), plan, 0.5)  # no batch axis
 
 
 class TestOracle:
@@ -125,14 +147,14 @@ class TestOracle:
         x = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=DTYPE)
         plan = make_partition(GridShape(1, 1, 2), PartitionScheme.alternating(), StreamRng(0))
         mplan = brute_force_oracle(x, plan, 0.5)
-        assert mplan.edge_set() == {(0, 1)}
+        assert edge_set(mplan.edges) == {(0, 1)}
 
     def test_identical_grid_matches(self):
         x = np.ones((4, 3), dtype=DTYPE)
         plan = make_partition(GridShape(1, 2, 2), PartitionScheme.alternating(), StreamRng(0))
-        got = build_merge_plan(x, plan, 0.5)
+        got = build_merge_plan(x[None], plan, 0.5)
         want = brute_force_oracle(x, plan, 0.5)
-        assert got.edge_set() == want.edge_set()
+        assert edge_set(got.edges[0]) == edge_set(want.edges)
 
     def test_size_cap(self):
         plan = make_partition(GridShape(1, 10, 10), PartitionScheme.alternating(), StreamRng(0))
@@ -148,16 +170,16 @@ class TestOracle:
             plan = make_partition(GridShape(1, h, w), scheme, StreamRng(case), case % 5, case % 3)
             src = plan.src_indices(0).size
             ratio = float(nprng.uniform(0.0, src / (h * w)))
-            got = build_merge_plan(x, plan, ratio)
+            got = build_merge_plan(x[None], plan, ratio)
             want = brute_force_oracle(x, plan, ratio)
-            assert got.edge_set() == want.edge_set()
-            assert np.array_equal(got.edges, want.edges)
-            assert np.array_equal(got.kept_src, want.kept_src)
+            assert edge_set(got.edges[0]) == edge_set(want.edges)
+            assert np.array_equal(got.edges[0], want.edges)
+            assert np.array_equal(got.kept_src[0], want.kept_src)
             assert got.merged_token_count == want.merged_token_count
 
 
 def test_export_edge_list():
-    x = np.array([[1, 0], [0, 1], [0.6, 0.8], [1, 0], [0, 1]], dtype=DTYPE)
+    x = np.array([[[1, 0], [0, 1], [0.6, 0.8], [1, 0], [0, 1]]], dtype=DTYPE)
     plan = hand_plan([False, False, False, True, True], 1, 5)
     mplan = build_merge_plan(x, plan, 0.4)  # r = 2
     text = export_edge_list(mplan)

@@ -5,31 +5,34 @@ from hypothesis import strategies as st
 
 from tomebench.grid import GridShape
 from tomebench.matching import build_merge_plan
-from tomebench.merging import (
-    MODE_PRUNE,
-    apply_merge,
-    apply_prune,
-    apply_unmerge,
-    reduce_tokens,
-)
+from tomebench.merging import MODE_MERGE, MODE_PRUNE, apply_unmerge, reduce_tokens
 from tomebench.partition import PartitionScheme, make_partition
 from tomebench.rng import StreamRng
 from tomebench.tensor import DTYPE, ShapeError
 from conftest import hand_plan
 
 
+def plan_for(x, plan, ratio):
+    """Merge plan of a single-element batch from its (tokens, channels) features."""
+    return build_merge_plan(x[None], plan, ratio)
+
+
+def round_trip(x, mplan, mode=MODE_MERGE):
+    return apply_unmerge(reduce_tokens(x, mplan.grouping, mode), mplan.grouping, mode)
+
+
 def pair_plan():
     """1x2 grid: token 0 = dst, token 1 = src, one forced edge."""
     plan = hand_plan([True, False], 1, 2)
     x = np.array([[2.0], [4.0]], dtype=DTYPE)
-    return x, build_merge_plan(x, plan, 0.5)
+    return x, plan_for(x, plan, 0.5)
 
 
-def group_mean_reference(x, merged):
+def group_mean_reference(x, grouping):
     """Independent mean: double-precision scalar loop, ascending original index."""
-    out = np.empty_like(merged.values)
-    for row in range(merged.merged_token_count):
-        members = merged.members(row)
+    out = np.empty((grouping.group_sizes.size, x.shape[1]), dtype=DTYPE)
+    for row in range(grouping.group_sizes.size):
+        members = np.flatnonzero(grouping.group_ids == row)
         acc = np.zeros(x.shape[1], dtype=np.float64)
         for token in members:
             acc += x[token].astype(np.float64)
@@ -40,55 +43,54 @@ def group_mean_reference(x, merged):
 class TestApplyMerge:
     def test_pair_mean(self):
         x, mplan = pair_plan()
-        merged = apply_merge(x, mplan)
-        assert merged.merged_token_count == 1
-        assert merged.values[0, 0] == 3.0
-        assert merged.group_sizes[0] == 2
+        merged = reduce_tokens(x, mplan.grouping)
+        assert merged.shape == (1, 1)
+        assert merged[0, 0] == 3.0
+        assert mplan.grouping.group_sizes[0] == 2
 
     def test_three_way_group_mean(self):
         # dst token [1] at flat 0; src tokens [3], [5] both merge into it
         x = np.array([[1.0], [3.0], [5.0]], dtype=DTYPE)
         plan = hand_plan([True, False, False], 1, 3)
-        mplan = build_merge_plan(x, plan, 0.6)  # r = floor(1.8) = 1 ... need 2
+        mplan = plan_for(x, plan, 0.6)  # r = floor(1.8) = 1 ... need 2
         assert mplan.r == 1
-        mplan2 = build_merge_plan(x, plan, 0.67)  # floor(2.01) = 2
-        merged = apply_merge(x, mplan2)
-        assert merged.values[0, 0] == 3.0  # (1+3+5)/3
+        mplan2 = plan_for(x, plan, 0.67)  # floor(2.01) = 2
+        merged = reduce_tokens(x, mplan2.grouping)
+        assert merged[0, 0] == 3.0  # (1+3+5)/3
 
     def test_empty_edges_identity(self, nprng):
         x = nprng.standard_normal((16, 4)).astype(DTYPE)
         plan = make_partition(GridShape(1, 4, 4), PartitionScheme.strided(2, 2), StreamRng(0))
-        mplan = build_merge_plan(x, plan, 0.0)
-        merged = apply_merge(x, mplan)
-        assert np.array_equal(merged.values, x)
-        assert np.array_equal(apply_unmerge(merged), x)
+        mplan = plan_for(x, plan, 0.0)
+        merged = reduce_tokens(x, mplan.grouping)
+        assert np.array_equal(merged, x)
+        assert np.array_equal(apply_unmerge(merged, mplan.grouping), x)
 
     def test_shape_mismatch(self):
         x, mplan = pair_plan()
         with pytest.raises(ShapeError):
-            apply_merge(np.ones((3, 1), DTYPE), mplan)
+            reduce_tokens(np.ones((3, 1), DTYPE), mplan.grouping)
 
     def test_row_order_is_ascending_survivor(self, nprng):
         x = nprng.standard_normal((16, 3)).astype(DTYPE)
         plan = make_partition(GridShape(1, 4, 4), PartitionScheme.rand_tile(2, 2), StreamRng(1))
-        mplan = build_merge_plan(x, plan, 0.5)
-        merged = apply_merge(x, mplan)
-        reps = merged.representatives
+        mplan = plan_for(x, plan, 0.5)
+        reps = mplan.grouping.representatives
         assert list(reps) == sorted(reps)
-        survivors = set(range(16)) - {int(s) for s, _ in mplan.edges}
+        survivors = set(range(16)) - {int(s) for s, _ in mplan.edges[0]}
         assert {int(r) for r in reps} == survivors
 
 
 class TestApplyUnmerge:
     def test_pair_round_trip(self):
         x, mplan = pair_plan()
-        out = apply_unmerge(apply_merge(x, mplan))
+        out = round_trip(x, mplan)
         assert np.array_equal(out, [[3.0], [3.0]])
 
     def test_no_edges_bit_identical(self, nprng):
         x = nprng.standard_normal((12, 5)).astype(DTYPE)
         plan = make_partition(GridShape(1, 3, 4), PartitionScheme.alternating(), StreamRng(0))
-        out = apply_unmerge(apply_merge(x, build_merge_plan(x, plan, 0.0)))
+        out = round_trip(x, plan_for(x, plan, 0.0))
         assert np.array_equal(out, x)
 
     def test_identical_tokens_exact_for_any_plan(self):
@@ -96,36 +98,40 @@ class TestApplyUnmerge:
         x = np.full((16, 4), value, dtype=DTYPE)
         for seed in range(10):
             plan = make_partition(GridShape(1, 4, 4), PartitionScheme.rand_tile(2, 2), StreamRng(seed))
-            mplan = build_merge_plan(x, plan, 0.5)
-            out = apply_unmerge(apply_merge(x, mplan))
+            out = round_trip(x, plan_for(x, plan, 0.5))
             assert np.array_equal(out, x)
 
 
 class TestApplyPrune:
     def test_pair_round_trip_zeroes_src(self):
         x, mplan = pair_plan()
-        out = apply_prune(x, mplan)
+        out = round_trip(x, mplan, MODE_PRUNE)
         assert np.array_equal(out, [[2.0], [0.0]])
 
     def test_empty_edges_identity(self, nprng):
         x = nprng.standard_normal((8, 2)).astype(DTYPE)
         plan = make_partition(GridShape(1, 2, 4), PartitionScheme.alternating(), StreamRng(0))
-        out = apply_prune(x, build_merge_plan(x, plan, 0.0))
+        out = round_trip(x, plan_for(x, plan, 0.0), MODE_PRUNE)
         assert np.array_equal(out, x)
 
     def test_all_src_pruned_half_zero(self):
         x = np.ones((4, 1), dtype=DTYPE)
         plan = make_partition(GridShape(1, 2, 2), PartitionScheme.alternating(), StreamRng(0))
-        out = apply_prune(x, build_merge_plan(x, plan, 0.5))
+        out = round_trip(x, plan_for(x, plan, 0.5), MODE_PRUNE)
         assert int((out == 0).sum()) == 2
         assert int((out == 1).sum()) == 2
 
     def test_reduce_keeps_survivor_values(self, nprng):
         x = nprng.standard_normal((16, 3)).astype(DTYPE)
         plan = make_partition(GridShape(1, 4, 4), PartitionScheme.rand_tile(2, 2), StreamRng(3))
-        mplan = build_merge_plan(x, plan, 0.5)
-        reduced = reduce_tokens(x, mplan, MODE_PRUNE)
-        assert np.array_equal(reduced.values, x[reduced.representatives])
+        mplan = plan_for(x, plan, 0.5)
+        reduced = reduce_tokens(x, mplan.grouping, MODE_PRUNE)
+        assert np.array_equal(reduced, x[mplan.grouping.representatives])
+
+    def test_unknown_mode(self):
+        x, mplan = pair_plan()
+        with pytest.raises(ValueError, match="mode"):
+            reduce_tokens(x, mplan.grouping, "average")
 
 
 class TestRoundTripProperties:
@@ -138,17 +144,17 @@ class TestRoundTripProperties:
         x = nprng.standard_normal((h * w, c)).astype(DTYPE)
         plan = make_partition(GridShape(1, h, w), PartitionScheme.rand_tile(2, 2), StreamRng(seed))
         ratio = min(ratio, plan.src_indices(0).size / (h * w))
-        mplan = build_merge_plan(x, plan, ratio)
-        merged = apply_merge(x, mplan)
-        out = apply_unmerge(merged)
+        mplan = plan_for(x, plan, ratio)
+        g = mplan.grouping
+        merged = reduce_tokens(x, g)
+        out = apply_unmerge(merged, g)
 
-        merged_positions = {int(s) for s, _ in mplan.edges}
-        expected_rows = group_mean_reference(x, merged)
-        assert np.array_equal(merged.values, expected_rows)
+        merged_positions = {int(s) for s, _ in mplan.edges[0]}
+        assert np.array_equal(merged, group_mean_reference(x, g))
         for token in range(h * w):
-            row = merged.group_ids[token]
-            if token in merged_positions or merged.group_sizes[row] > 1:
-                assert np.array_equal(out[token], merged.values[row])
+            row = g.group_ids[token]
+            if token in merged_positions or g.group_sizes[row] > 1:
+                assert np.array_equal(out[token], merged[row])
             else:
                 assert np.array_equal(out[token], x[token])
 
@@ -161,8 +167,7 @@ class TestRoundTripProperties:
             errors = []
             max_ratio = plan.src_indices(0).size / 36
             for ratio in np.linspace(0.0, max_ratio, 8):
-                mplan = build_merge_plan(x, plan, float(ratio))
-                out = apply_unmerge(apply_merge(x, mplan))
+                out = round_trip(x, plan_for(x, plan, float(ratio)))
                 errors.append(float(np.linalg.norm((out - x).astype(np.float64))))
             for smaller, larger in zip(errors, errors[1:]):
                 assert smaller <= larger + 1e-9
@@ -174,7 +179,7 @@ class TestRoundTripProperties:
                                   StreamRng(int(nprng.integers(1 << 20))))
             ratio = float(nprng.uniform(0, 0.7))
             ratio = min(ratio, plan.src_indices(0).size / 24)
-            mplan = build_merge_plan(x, plan, ratio)
-            merged = apply_merge(x, mplan)
-            assert merged.merged_token_count == 24 - mplan.r
-            assert int(merged.group_sizes.sum()) == 24
+            mplan = plan_for(x, plan, ratio)
+            merged = reduce_tokens(x, mplan.grouping)
+            assert merged.shape[0] == mplan.merged_token_count == 24 - mplan.r
+            assert int(mplan.grouping.group_sizes.sum()) == 24

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tomebench import HarnessConfig, ToMeConfig, unet
+from tomebench import HarnessConfig, ToMeConfig, matching, unet
 from tomebench.diffusion import Schedule, build_schedule, denoise, make_init_noise, ratio_at
 from tomebench.flops import peak_live_elements
-from tomebench.merging import MODE_MERGE, MergedTokens
+from tomebench.merging import MODE_MERGE
 from tomebench.metrics import (
     AggregationError,
     aggregate,
@@ -78,10 +78,8 @@ class TestAggregate:
 
     def test_unreduced_components_fail_the_ledger(self, monkeypatch):
         # components that silently receive every row must not pass as merged
-        def unreduced(x, plan, mode=MODE_MERGE):
-            rows = np.arange(plan.n_tokens)
-            return MergedTokens(np.asarray(x), np.ones(plan.n_tokens, np.int64), plan, rows, rows,
-                                MODE_MERGE)
+        def unreduced(rows, grouping, mode=MODE_MERGE):
+            return rows
 
         monkeypatch.setattr(unet, "reduce_tokens", unreduced)
         with pytest.raises(AggregationError, match="ledger"):
@@ -109,6 +107,24 @@ class TestAggregate:
         harness = small_harness(ratio=0.5)  # top scale only: 2 blocks x 3 steps
         output = execute_run(harness)
         assert output.report.similarity_computes == 2 * 3
+
+    @pytest.mark.parametrize("share", [False, True])
+    def test_similarity_count_is_the_calls_that_ran(self, monkeypatch, share):
+        calls = []
+        original = matching.cosine_similarity
+
+        def intercepted(a, b):
+            calls.append(np.shape(a))
+            return original(a, b)
+
+        monkeypatch.setattr(matching, "cosine_similarity", intercepted)
+        # `--latent 16x16 --steps 3`: the default policy merges 2 blocks at each step
+        harness = HarnessConfig(latent=(16, 16), steps=3, compare_baseline=False,
+                                tome=ToMeConfig(share_guidance_edges=share))
+        report = execute_run(harness).report
+        assert report.similarity_computes == len(calls) == 6
+        # one stacked call per block step: the whole guidance pair, or element 0 when shared
+        assert {shape[0] for shape in calls} == {1 if share else 2}
 
 
 def all_on_16x16(**tome_kw):

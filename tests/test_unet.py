@@ -220,7 +220,9 @@ class TestMergedTokenCounts:
             None,) * 4
         assert merged_token_counts(tiny_spec, None, 0.5) == (None,) * 4
 
-    def test_ratio_removing_no_token_still_merges(self, tiny_spec):
-        # floor(0.01 * 64) == floor(0.01 * 16) == 0: eligible, with every token kept
+    def test_ratio_removing_no_token_does_not_merge(self, tiny_spec):
+        # floor(0.01 * 64) == floor(0.01 * 16) == 0: covered, but nothing to remove
         tome = ToMeConfig(ratio=0.01, min_tokens=1)
-        assert merged_token_counts(tiny_spec, tome, 0.01) == (64, 64, 16, 16)
+        assert merged_token_counts(tiny_spec, tome, 0.01) == (None,) * 4
+        # floor(0.05 * 64) == 3, floor(0.05 * 16) == 0: only the 8x8 blocks merge
+        assert merged_token_counts(tiny_spec, tome, 0.05) == (61, 61, None, None)

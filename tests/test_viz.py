@@ -47,11 +47,11 @@ def test_rand2x2_one_white_per_tile():
 def test_merge_map_groups_share_color(nprng):
     x = nprng.standard_normal((16, 4)).astype(DTYPE)
     plan = make_partition(GridShape(1, 4, 4), PartitionScheme.rand_tile(2, 2), StreamRng(2))
-    mplan = build_merge_plan(x, plan, 0.5)
+    mplan = build_merge_plan(x[None], plan, 0.5)
     pixels = parse_p3(merge_map_to_ppm(mplan, 4, 4)).reshape(16, 3)
-    for src, dst in mplan.edges:
+    for src, dst in mplan.edges[0]:
         assert np.array_equal(pixels[src], pixels[dst])
-    for kept in mplan.kept_src:
+    for kept in mplan.kept_src[0]:
         assert np.array_equal(pixels[kept], [40, 40, 40])
 
 
