@@ -1,11 +1,14 @@
 """Toy denoising loop with classifier-free-guidance-style paired batches.
 
-Each step evaluates the U-Net once on a batch of two copies of the current
-latent grid: element 0 conditioned on the model's prompt embedding, element 1
-on a zero prompt. The two predictions are combined with a guidance scale and
-the latent is updated with a fixed linear-decay rule. The sampler is
-deliberately simple; its only job is to iterate the model deterministically
-so the merging machinery can be measured end to end.
+Each step evaluates the U-Net once on the current latent grid under a pair
+of prompts: element 0 conditioned on the model's prompt embedding, element 1
+on a zero prompt. The pair shares the latent, so the model runs it once up to
+the first component that reads the prompt (block 0's cross-attention) and
+evaluates the two elements apart from there on. The two predictions are
+combined with a guidance scale and the latent is updated with a fixed
+linear-decay rule. The sampler is deliberately simple; its only job is to
+iterate the model deterministically so the merging machinery can be measured
+end to end.
 
 The token-reduction ratio is linearly interpolated between schedule endpoints
 across steps, and the same latent update is used with or without merging, so
@@ -101,15 +104,14 @@ def denoise(
         raise ShapeError("denoise drives a single latent; init noise batch must be 1")
 
     prompts = np.stack([model.prompt_embedding, np.zeros_like(model.prompt_embedding)])
-    pair_shape = GridShape(2, top_h, top_w)
 
     x = init_noise.values
     for step in range(schedule.steps):
         t0 = time.perf_counter()
         faults0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         ratio = ratio_at(schedule, step)
-        stacked = TokenGrid(pair_shape, np.concatenate([x, x], axis=0))
-        pred = model.forward(stacked, prompts, tome=tome, ratio=ratio, step=step, trace=trace)
+        latent = TokenGrid(init_noise.shape, x)
+        pred = model.forward(latent, prompts, tome=tome, ratio=ratio, step=step, trace=trace)
         cond, uncond = pred.values[:1], pred.values[1:]
         alpha = DTYPE(BASE_ALPHA * (1.0 - step / schedule.steps))
         x = x - alpha * (uncond + DTYPE(guidance_scale) * (cond - uncond))

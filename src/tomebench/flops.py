@@ -9,8 +9,12 @@ token-count effect.
 Terms are classified by how they scale with the evaluated token count n:
 pairwise (n^2), linear (n), or const (independent of n, e.g. prompt key/value
 projections). Matmul terms count 2 FLOPs per multiply-add and are exactly
-the FLOPs issued through the tensor kernel; softmax, scaling, gelu, and
-layernorm use fixed per-element costs.
+the FLOPs the tensor kernel issues per element of a forward over distinct
+latents; softmax, scaling, gelu, and layernorm use fixed per-element costs.
+`denoise` gives the guidance pair one shared latent, which the model runs
+once up to block 0's cross-attention, so a denoise step issues one element's
+block-0 self-attention matmul FLOPs fewer than the pair's count here. The
+report keeps this per-image model.
 
 Merged components evaluate n' = N - floor(ratio * N) tokens; the layernorms
 feeding each component and the residual adds always run at full N. Every

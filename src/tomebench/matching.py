@@ -97,6 +97,13 @@ class MergePlan:
     def r(self) -> int:
         return self.edges.shape[1]
 
+    def repeated(self, batch: int) -> "MergePlan":
+        """This one-element plan serving each of `batch` elements."""
+        if self.edges.shape[0] != 1:
+            raise ShapeError(f"only a one-element plan repeats, got {self.edges.shape[0]}")
+        return MergePlan(self.n_tokens, np.repeat(self.edges, batch, axis=0),
+                         np.repeat(self.kept_src, batch, axis=0), self.merged_token_count)
+
     @cached_property
     def grouping(self) -> "Grouping":
         """Token groups of this plan, built on first use and shared by every component."""
@@ -189,10 +196,8 @@ def build_merge_plan(x, plan: PartitionPlan, ratio: float, share: bool = False) 
     kept = np.sort(order[:, r:], axis=-1)
 
     edges = np.stack([src_idx[rows, chosen], dst_idx[rows, best_pos[rows, chosen]]], axis=-1)
-    kept_src = src_idx[rows, kept]
-    if share:
-        edges, kept_src = np.repeat(edges, batch, axis=0), np.repeat(kept_src, batch, axis=0)
-    return MergePlan(n, edges, kept_src, n - r)
+    merge_plan = MergePlan(n, edges, src_idx[rows, kept], n - r)
+    return merge_plan.repeated(batch) if share else merge_plan
 
 
 def export_edge_list(plan: MergePlan) -> str:

@@ -69,6 +69,11 @@ class PartitionScheme:
     def rand_tile(cls, ty: int, tx: int, batch_fix: bool = True) -> "PartitionScheme":
         return cls("rand_tile", ty=ty, tx=tx, batch_fix=batch_fix)
 
+    @property
+    def draws_per_element(self) -> bool:
+        """Whether each batch element gets its own random draw, so masks can differ."""
+        return self.kind in ("random", "rand_tile") and not self.batch_fix
+
     def with_batch_fix(self, batch_fix: bool) -> "PartitionScheme":
         return replace(self, batch_fix=batch_fix)
 
@@ -129,6 +134,11 @@ class PartitionPlan:
 
     def src_indices(self, element: int) -> np.ndarray:
         return np.flatnonzero(~self.dst_mask[element])
+
+    def prefix(self, batch: int) -> "PartitionPlan":
+        """The plan of the first `batch` elements, as `make_partition` draws it for that batch."""
+        return PartitionPlan(replace(self.shape, batch=batch), self.scheme,
+                             self.dst_mask[:batch], self.dst_count)
 
     def packed_masks(self) -> tuple[bytes, ...]:
         """One packed-bit blob per batch element, for trace storage."""
@@ -193,27 +203,28 @@ def make_partition(
 ) -> PartitionPlan:
     """Build the dst mask for every batch element.
 
-    Deterministic in (shape, scheme, rng.seed, step, layer). With batch_fix
-    on, the random draw happens once and is replicated, so the plan restricted
-    to any batch prefix equals the plan built for that smaller batch.
+    Deterministic in (shape, scheme, rng.seed, step, layer). Unless the
+    scheme draws per element, one mask serves every element; with batch_fix
+    on, the random draw happens once and is replicated. Either way the plan
+    restricted to any batch prefix equals the plan built for that smaller
+    batch.
     """
     def draw(gen):
         if scheme.kind == "random":
             return _random_mask(shape, scheme, gen)
         return _rand_tile_mask(shape, scheme, gen)
 
-    if scheme.kind == "alternating":
-        base = _alternating_mask(shape)
-        masks = np.broadcast_to(base, (shape.batch, shape.tokens)).copy()
-    elif scheme.kind == "strided":
-        base = _strided_mask(shape, scheme)
-        masks = np.broadcast_to(base, (shape.batch, shape.tokens)).copy()
-    elif scheme.batch_fix:
-        base = draw(rng.stream("partition", step, layer))
-        masks = np.broadcast_to(base, (shape.batch, shape.tokens)).copy()
-    else:
+    if scheme.draws_per_element:
         gen = rng.stream("partition", step, layer)
         masks = np.stack([draw(gen) for _ in range(shape.batch)])
+    else:
+        if scheme.kind == "alternating":
+            base = _alternating_mask(shape)
+        elif scheme.kind == "strided":
+            base = _strided_mask(shape, scheme)
+        else:
+            base = draw(rng.stream("partition", step, layer))
+        masks = np.broadcast_to(base, (shape.batch, shape.tokens)).copy()
 
     counts = masks.sum(axis=1)
     if counts.min() < 1 or counts.max() > shape.tokens - 1:

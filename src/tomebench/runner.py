@@ -123,7 +123,10 @@ def execute_run(harness: HarnessConfig, model: UNetModel | None = None,
         else:
             key = baseline_key(harness)
             if key not in baselines:
-                computed = denoise(model, noise, schedule, None, harness.guidance_scale)
+                baseline_trace = RunTrace()
+                computed = denoise(model, noise, schedule, None, harness.guidance_scale,
+                                   baseline_trace)
+                trace.baseline_step_times = baseline_trace.step_times
                 computed.values.flags.writeable = False
                 baselines[key] = computed
             baseline_final = baselines[key]

@@ -14,12 +14,19 @@ single bit of the result.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
 DTYPE = np.float32
+
+
+# Thread-count getters of the scipy-openblas build numpy wheels ship, and of a
+# system OpenBLAS.
+BLAS_THREAD_GETTERS = ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads")
 
 
 class ShapeError(ValueError):
@@ -128,3 +135,41 @@ def layernorm_rows(a, eps: float = 1e-5) -> np.ndarray:
     # Divides in double precision and rounds once into the float32 result.
     out = np.divide(centered, np.sqrt(var + eps), out=np.empty(a.shape, DTYPE))
     return _check_finite(out, "layernorm_rows")
+
+
+@functools.cache
+def _blas_thread_getter():
+    """The thread-count getter of the OpenBLAS this process loaded, or None.
+
+    The library is found among the files mapped into the process (Linux
+    `/proc/self/maps`) and opened through ctypes; it stays loaded, so the
+    search runs once.
+    """
+    try:
+        with open("/proc/self/maps") as maps:
+            fields = [line.split(maxsplit=5) for line in maps]
+    except OSError:
+        return None
+    paths = sorted({f[5].strip() for f in fields if len(f) == 6 and "openblas" in f[5]})
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in BLAS_THREAD_GETTERS:
+            getter = getattr(lib, name, None)
+            if getter is not None:
+                getter.argtypes = ()
+                getter.restype = ctypes.c_int
+                return getter
+    return None
+
+
+def blas_threads() -> int | None:
+    """The current thread count of the OpenBLAS this process loaded.
+
+    None where the count cannot be read: no process map, no OpenBLAS among
+    the mapped files, or no known getter in it.
+    """
+    getter = _blas_thread_getter()
+    return None if getter is None else int(getter())

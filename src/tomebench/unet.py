@@ -17,7 +17,9 @@ prompt tokens are never merged.
 A block evaluates each component once on the whole guidance batch, and
 attention serves every (element, head) pair in a few stacked products whose
 logits are tiled to at most `TILE` elements (`attention_tiles`); the bytes
-equal a loop over elements and heads.
+equal a loop over elements and heads. A latent the guidance elements share
+is evaluated once up to the first component that reads the prompt, block
+0's cross-attention, since every element would compute the same bytes there.
 
 `merged_token_counts` is the single home of the merge policy: which blocks
 merge at a given ratio, and how many tokens their merged components evaluate.
@@ -163,12 +165,17 @@ class BlockTraceRecord:
 
 
 class RunTrace:
-    """Collects per-block records, per-step wall times and minor page faults for one run."""
+    """Collects per-block records, per-step wall times and minor page faults for one run.
+
+    `baseline_step_times` holds the wall time of each step of the baseline
+    denoise the run computed, and stays None when the run computed none.
+    """
 
     def __init__(self):
         self.records: list[BlockTraceRecord] = []
         self.step_times: list[float] = []
         self.step_minor_faults: list[int] = []
+        self.baseline_step_times: list[float] | None = None
 
     def add(self, record: BlockTraceRecord) -> None:
         self.records.append(record)
@@ -284,33 +291,50 @@ class UNetModel:
         layer: int,
         trace: RunTrace | None,
     ) -> np.ndarray:
-        batch, n_tokens, channels = values.shape
+        """One block on `values`, which holds every element of `prompts` or one shared element.
+
+        A shared element stays one until cross-attention, the first component
+        that reads the prompt, and is repeated to the prompt batch there. When
+        the partition draws a mask per element, it is repeated on entry, so
+        each element merges by its own mask. The partition is drawn for the
+        prompt batch either way.
+        """
+        batch = prompts.shape[0]
+        n_tokens, channels = values.shape[1:]
         weights = self.blocks[layer]
         if eligible:
             part = make_partition(GridShape(batch, height, width), tome.partition,
                                   StreamRng(tome.seed), step, layer)
+            if tome.partition.draws_per_element and values.shape[0] != batch:
+                values = np.repeat(values, batch, axis=0)
             similarity = SimilarityCounter()
             with count_similarity_calls(similarity):
-                plan = build_merge_plan(values, part, ratio, tome.share_guidance_edges)
+                plan = build_merge_plan(values, part.prefix(values.shape[0]), ratio,
+                                        tome.share_guidance_edges)
         mode = MODE_PRUNE if (tome is not None and tome.prune) else MODE_MERGE
         received = n_tokens  # token rows per element the last merged component was given
 
         def pass_through(merge: bool, component) -> np.ndarray:
-            # component(tokens) -> tokens on a (batch, rows, channels) stack; it
-            # sees merged tokens when wrapped. Merge and unmerge run once on the
-            # stacked (batch * rows, channels) rows.
+            # component(tokens) -> tokens on an (elements, rows, channels) stack;
+            # it sees merged tokens when wrapped. Merge and unmerge run once on
+            # the stacked (elements * rows, channels) rows.
             nonlocal received
-            normed = layernorm_rows(values.reshape(batch * n_tokens, channels))
+            elements = values.shape[0]
+            normed = layernorm_rows(values.reshape(elements * n_tokens, channels))
             if not merge:
                 return values + component(normed.reshape(values.shape))
             reduced = reduce_tokens(normed, plan.grouping, mode)
-            received = reduced.shape[0] // batch
-            out = component(reduced.reshape(batch, received, channels))
+            received = reduced.shape[0] // elements
+            out = component(reduced.reshape(elements, received, channels))
             restored = apply_unmerge(out.reshape(-1, channels), plan.grouping, mode)
             return values + restored.reshape(values.shape)
 
         values = pass_through(eligible and tome.apply_self,
                               lambda t: self._self_attention(t, weights))
+        if values.shape[0] != batch:
+            values = np.repeat(values, batch, axis=0)
+            if eligible:
+                plan = plan.repeated(batch)
         values = pass_through(eligible and tome.apply_cross,
                               lambda t: self._cross_attention(t, prompts, weights))
         values = pass_through(eligible and tome.apply_mlp, lambda t: self._mlp(t, weights))
@@ -327,11 +351,13 @@ class UNetModel:
     # -- model --------------------------------------------------------------
 
     def _check_prompts(self, prompts, batch: int) -> np.ndarray:
+        """(P, prompt_tokens, channels) prompts for a grid of `batch` 1 or P."""
         prompts = np.asarray(prompts, dtype=DTYPE)
         if prompts.ndim == 2:
             prompts = np.broadcast_to(prompts, (batch,) + prompts.shape)
-        if prompts.ndim != 3 or prompts.shape[0] != batch:
-            raise ShapeError(f"prompts must be (batch, prompt_tokens, channels), got {prompts.shape}")
+        if prompts.ndim != 3 or batch not in (1, prompts.shape[0]):
+            raise ShapeError(f"a batch-{batch} grid needs ({batch}, prompt_tokens, channels) "
+                             f"prompts, or any prompt batch at grid batch 1; got {prompts.shape}")
         if prompts.shape[1] != self.spec.prompt_tokens:
             raise ShapeError(
                 f"expected {self.spec.prompt_tokens} prompt tokens, got {prompts.shape[1]}"
@@ -349,9 +375,13 @@ class UNetModel:
         step: int = 0,
         trace: RunTrace | None = None,
     ) -> TokenGrid:
-        """Full U-Net evaluation; output shape equals input shape.
+        """Full U-Net evaluation of `grid` under each of the P `prompts`; returns batch P.
 
-        Without `ratio`, a policy merges at its step-0 ratio.
+        A grid of batch P pairs element by element with the prompts. A grid of
+        batch 1 is one latent shared by the P elements: it is evaluated once up
+        to the first component that reads the prompt, block 0's
+        cross-attention (see `_block`). Without `ratio`, a policy merges at
+        its step-0 ratio.
         """
         top_h, top_w, _ = self.spec.scales[0]
         if (grid.shape.height, grid.shape.width) != (top_h, top_w):
@@ -384,7 +414,7 @@ class UNetModel:
 
         batch, n_tokens, channels = h.shape
         out = layernorm_rows(h.reshape(batch * n_tokens, channels)).reshape(h.shape)
-        return TokenGrid(grid.shape, out)
+        return TokenGrid(GridShape(batch, top_h, top_w), out)
 
 
 def _downsample(values: np.ndarray, height: int, width: int) -> np.ndarray:

@@ -171,8 +171,13 @@ def attention(self, q_in, kv_in, wq, wk, wv, wo) -> np.ndarray:
 
 
 def block(self, values, height, width, prompts, tome, ratio, eligible, step, layer, trace):
-    """`UNetModel._block` evaluating each batch element's components separately."""
-    batch, n_tokens, _ = values.shape
+    """`UNetModel._block` evaluating each batch element's components separately.
+
+    A latent shared by the prompt batch is repeated to it on entry, so every
+    element is evaluated on its own from the first component on.
+    """
+    batch, n_tokens = prompts.shape[0], values.shape[1]
+    values = np.broadcast_to(values, (batch,) + values.shape[1:])
     weights = self.blocks[layer]
     if eligible:
         part = make_partition(GridShape(batch, height, width), tome.partition,

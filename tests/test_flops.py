@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from tomebench import ToMeConfig, UNetSpec, init_unet
-from tomebench.diffusion import Schedule
+from tomebench import HarnessConfig, ToMeConfig, UNetSpec, init_unet
+from tomebench.diffusion import Schedule, denoise, make_init_noise
 from tomebench.flops import (
+    GUIDANCE_BATCH,
     FlopCount,
     cross_attention_flops,
     flop_count,
@@ -14,7 +15,7 @@ from tomebench.flops import (
 )
 from tomebench.grid import GridShape, TokenGrid
 from tomebench.tensor import DTYPE, FlopCounter, count_matmul_flops
-from tomebench.unet import merged_token_counts
+from tomebench.unet import build_spec, merged_token_counts
 
 
 def all_on(ratio=0.5, **kw):
@@ -152,6 +153,26 @@ class TestInstrumentedEquality:
     def test_matmul_counter_matches_analytic_policy(self, tiny_spec, tome):
         counted, analytic = counted_and_analytic_matmul_flops(tiny_spec, tome)
         assert counted == analytic
+
+
+@pytest.mark.parametrize("tome,ratio,counted_per_step", [
+    (None, 0.0, 1_472_200_704),  # the pair's 1,774,190,592 less 301,989,888
+    (ToMeConfig(), 0.5, 817_889_280),  # the pair's 901,775,360 less 83,886,080
+], ids=["baseline", "default"])
+def test_denoise_step_runs_block_zero_self_attention_once(tome, ratio, counted_per_step):
+    """The shared latent saves exactly one element's block-0 self-attention matmuls."""
+    spec = build_spec(HarnessConfig())  # the default 32x32 model
+    model = init_unet(spec)
+    counter = FlopCounter()
+    with count_matmul_flops(counter):
+        denoise(model, make_init_noise(spec, 0), Schedule(1, ratio, ratio), tome)
+
+    blocks = flop_count(spec, tome, ratio)
+    pair = GUIDANCE_BATCH * sum(
+        b.self_attn.matmul_total + b.cross_attn.matmul_total + b.mlp.matmul_total
+        for b in blocks
+    )
+    assert counter.matmul == pair - blocks[0].self_attn.matmul_total == counted_per_step
 
 
 class TestMemoryProxy:

@@ -14,8 +14,9 @@ from hypothesis.extra.numpy import arrays
 import reference_kernels as ref
 from tomebench import Schedule, ToMeConfig, UNetSpec, denoise, init_unet, make_init_noise
 from tomebench import partition, unet
-from tomebench.grid import GridShape
-from tomebench.matching import MergePlan, build_merge_plan
+from tomebench.diffusion import BASE_ALPHA, ratio_at
+from tomebench.grid import GridShape, TokenGrid
+from tomebench.matching import MergePlan, RatioError, build_merge_plan
 from tomebench.merging import MODE_MERGE, MODE_PRUNE, apply_unmerge, reduce_tokens
 from tomebench.partition import PartitionError, PartitionScheme, make_partition
 from tomebench.rng import StreamRng
@@ -343,3 +344,74 @@ def test_denoise_matches_reference_kernels_side_32(monkeypatch, tome):
         patch_reference_kernels(m)
         old = denoise(model, noise, schedule, tome, 7.5).values.tobytes()
     assert new == old
+
+
+def denoise_pair_by_pair(model, noise, schedule, tome, guidance_scale, trace):
+    """`denoise` with each step's latent handed to the model as the explicit pair [x, x].
+
+    A grid of the prompts' batch starts expanded, so every block evaluates
+    both elements from its first component on.
+    """
+    prompts = np.stack([model.prompt_embedding, np.zeros_like(model.prompt_embedding)])
+    pair_shape = GridShape(2, noise.shape.height, noise.shape.width)
+    x = noise.values
+    for step in range(schedule.steps):
+        pair = TokenGrid(pair_shape, np.concatenate([x, x]))
+        pred = model.forward(pair, prompts, tome=tome, ratio=ratio_at(schedule, step),
+                             step=step, trace=trace)
+        cond, uncond = pred.values[:1], pred.values[1:]
+        alpha = DTYPE(BASE_ALPHA * (1.0 - step / schedule.steps))
+        x = x - alpha * (uncond + DTYPE(guidance_scale) * (cond - uncond))
+    return x
+
+
+@st.composite
+def shared_latent_runs(draw):
+    """(model, noise, schedule, policy or None) on tiny one- and two-scale models.
+
+    Covers every partition scheme with and without `batch_fix`, shared edges,
+    merge and prune, every `apply` subset, `min_tokens` floors that gate
+    blocks, and ratios down to floor(ratio * N) == 0.
+    """
+    scales = draw(st.integers(1, 2))
+    height, width = draw(st.sampled_from([2, 4, 6])), draw(st.sampled_from([2, 4, 6]))
+    blocks = draw(st.integers(1, 2))
+    spec = UNetSpec(scales=tuple((height >> s, width >> s, blocks) for s in range(scales)),
+                    channels=8, heads=2, prompt_tokens=3, weight_seed=draw(st.integers(0, 3)))
+    ratios = st.sampled_from([0.01, 0.25, 0.3, 0.45]) | st.floats(0.0, 0.45)
+    start, end = draw(ratios), draw(ratios)
+    schedule = Schedule(draw(st.integers(1, 3)), start, end)
+    if draw(st.integers(0, 4)) == 0:
+        return spec, schedule, None
+    apply = draw(st.sampled_from([(s, c, m) for s in (0, 1) for c in (0, 1) for m in (0, 1)
+                                  if s or c or m]))
+    scheme = scheme_of(draw(st.sampled_from(SCHEMES)), draw(st.booleans()))
+    tome = ToMeConfig(ratio=start, ratio_start=start, ratio_end=end, partition=scheme,
+                      apply_self=bool(apply[0]), apply_cross=bool(apply[1]),
+                      apply_mlp=bool(apply[2]),
+                      min_tokens=draw(st.sampled_from([None, 1, 1, 4, 9, 16])),
+                      seed=draw(st.integers(0, 2**32)), prune=draw(st.booleans()),
+                      share_guidance_edges=draw(st.booleans()))
+    return spec, schedule, tome
+
+
+def traced_outcome(run, *args):
+    """(("ok", bytes) or ("raised", exception type), trace records) of one denoise."""
+    trace = unet.RunTrace()
+    try:
+        result = "ok", np.asarray(run(*args, trace)).tobytes()
+    except (PartitionError, RatioError) as exc:
+        result = "raised", type(exc)
+    return result, trace.records
+
+
+@settings(max_examples=200, deadline=None)
+@given(shared_latent_runs(), st.integers(0, 2**32))
+def test_shared_latent_equals_the_explicit_pair(run, noise_seed):
+    """Evaluating the pair's shared latent once changes no output byte and no trace record."""
+    spec, schedule, tome = run
+    model = init_unet(spec)
+    noise = make_init_noise(spec, noise_seed)
+    shared = traced_outcome(lambda *a: denoise(*a).values, model, noise, schedule, tome, 7.5)
+    paired = traced_outcome(denoise_pair_by_pair, model, noise, schedule, tome, 7.5)
+    assert shared == paired

@@ -103,6 +103,19 @@ class TestAggregate:
         assert timing["minor_faults_per_step"] == output.trace.step_minor_faults
         assert "minor_faults" not in json.dumps(data)
 
+    def test_baseline_step_times_only_where_the_run_computed_its_baseline(self):
+        baselines = {}
+        computed = execute_run(small_harness(ratio=0.5), baselines=baselines)
+        reused = execute_run(small_harness(ratio=0.4), baselines=baselines)
+        bypassed = execute_run(small_harness(ratio=0.0))
+        uncompared = execute_run(dataclasses.replace(small_harness(ratio=0.5),
+                                                     compare_baseline=False))
+        times = timing_dict(computed.trace)["baseline_wall_time_per_step_s"]
+        assert len(times) == 3 and all(t > 0 for t in times)
+        for output in (reused, bypassed, uncompared):
+            assert timing_dict(output.trace)["baseline_wall_time_per_step_s"] is None
+        assert "blas_threads" in timing_dict(computed.trace)
+
     def test_similarity_counter_in_report(self):
         harness = small_harness(ratio=0.5)  # top scale only: 2 blocks x 3 steps
         output = execute_run(harness)
@@ -123,8 +136,9 @@ class TestAggregate:
                                 tome=ToMeConfig(share_guidance_edges=share))
         report = execute_run(harness).report
         assert report.similarity_computes == len(calls) == 6
-        # one stacked call per block step: the whole guidance pair, or element 0 when shared
-        assert {shape[0] for shape in calls} == {1 if share else 2}
+        # one stacked call per block step. Block 0 plans the latent the pair shares; block 1
+        # plans the whole guidance pair, or element 0 when shared.
+        assert [shape[0] for shape in calls] == [1, 1 if share else 2] * 3
 
 
 def all_on_16x16(**tome_kw):

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -6,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from tomebench import tensor
 from tomebench.tensor import (
     DTYPE,
     FlopCounter,
@@ -102,3 +106,25 @@ class TestLayernormRows:
         v = a.astype(np.float64).var(axis=1)
         expected = v / (v + 1e-5)
         assert np.all(np.abs(out.var(axis=1) - expected) <= 1e-3)
+
+
+class TestBlasThreads:
+    def test_reads_the_count_the_process_was_given(self):
+        read = []
+        for threads in ("1", "2"):
+            proc = subprocess.run(
+                [sys.executable, "-c", "from tomebench.tensor import blas_threads; "
+                 "print(blas_threads())"],
+                capture_output=True, text=True, env=dict(os.environ, OPENBLAS_NUM_THREADS=threads),
+            )
+            assert proc.returncode == 0, proc.stderr
+            read.append(proc.stdout.strip())
+        if read == ["None", "None"]:
+            pytest.skip("no OpenBLAS thread-count getter in this numpy build")
+        assert read == ["1", "2"]
+
+    def test_none_without_a_known_getter(self, monkeypatch):
+        monkeypatch.setattr(tensor, "BLAS_THREAD_GETTERS", ("no_such_getter",))
+        assert tensor._blas_thread_getter.__wrapped__() is None
+        monkeypatch.setattr(tensor, "_blas_thread_getter", lambda: None)
+        assert tensor.blas_threads() is None

@@ -95,6 +95,14 @@ class TestForward:
         with pytest.raises(ShapeError):
             tiny_model.forward(grid, prompts_for(tiny_model, 1))
 
+    def test_shared_latent_takes_the_prompt_batch(self, tiny_model):
+        grid = grid_for(tiny_model.spec, 1)
+        prompt = tiny_model.prompt_embedding
+        prompts = np.stack([prompt, np.zeros_like(prompt)])
+        assert tiny_model.forward(grid, prompts).shape.batch == 2
+        with pytest.raises(ShapeError):
+            tiny_model.forward(grid_for(tiny_model.spec, 2), np.concatenate([prompts, prompts[:1]]))
+
     def test_wrong_prompt_rows(self, tiny_model):
         grid = grid_for(tiny_model.spec, 1)
         bad = np.zeros((1, 3, tiny_model.spec.channels), DTYPE)
