@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from .config import REPORT_SCHEMA, HarnessConfig, ToMeConfig, config_dict, config_digest
 from .diffusion import ErrorMetrics, Schedule, build_schedule, ratio_at
 from .flops import GUIDANCE_BATCH, RunFlops, peak_live_elements, run_flops
-from .tensor import blas_threads
 from .unet import RunTrace, UNetSpec, build_spec, merged_token_counts
 
 
@@ -195,7 +194,8 @@ def timing_dict(trace: RunTrace) -> dict:
     """Wall-clock sidecar; excluded from the deterministic report.
 
     The baseline's steps are null when the run reused a baseline or needed
-    none; the BLAS thread count is null where it cannot be read.
+    none. The BLAS thread count is the one the run computed with, read inside
+    `execute_run`; it is null where it could not be read.
     """
     baseline = trace.baseline_step_times
     return {
@@ -203,5 +203,5 @@ def timing_dict(trace: RunTrace) -> dict:
         "wall_time_per_step_s": [float(t) for t in trace.step_times],
         "minor_faults_per_step": list(trace.step_minor_faults),
         "baseline_wall_time_per_step_s": None if baseline is None else [float(t) for t in baseline],
-        "blas_threads": blas_threads(),
+        "blas_threads": trace.blas_threads,
     }

@@ -19,6 +19,7 @@ from .matching import build_merge_plan, export_edge_list, tokens_to_remove
 from .metrics import RunReport, aggregate, report_csv_row, sweep_csv, timing_dict
 from .partition import PartitionScheme, expected_dst_count, make_partition
 from .rng import StreamRng
+from .tensor import blas_threads, single_blas_thread
 from .unet import (RunTrace, UNetModel, UNetSpec, build_spec, init_unet, merged_token_counts,
                    policy_covers)
 from .viz import merge_map_to_ppm, write_partition_ppms
@@ -92,12 +93,15 @@ def baseline_key(harness: HarnessConfig) -> tuple:
             float(harness.guidance_scale).hex())
 
 
+@single_blas_thread()
 def execute_run(harness: HarnessConfig, model: UNetModel | None = None,
                 baselines: dict[tuple, TokenGrid] | None = None) -> RunOutput:
     """Run the configured denoise (and its baseline when comparison is on).
 
     `baselines` memoizes baseline finals by `baseline_key`; a hit skips the
     unmerged denoise. Baseline finals are read-only, since runs may share them.
+    The whole call computes on one BLAS thread, so the report does not depend
+    on the process's thread count.
     """
     resolve(harness)
     spec = build_spec(harness)
@@ -109,7 +113,7 @@ def execute_run(harness: HarnessConfig, model: UNetModel | None = None,
     tome = harness.tome
     noise = make_init_noise(spec, tome.seed)
 
-    trace = RunTrace()
+    trace = RunTrace(blas_threads=blas_threads())
     peak_ratio = ratio_at(schedule, peak_step(schedule))
     merges = any(m is not None for m in merged_token_counts(spec, tome, peak_ratio))
     active_tome = tome if merges else None
@@ -148,7 +152,8 @@ def _write_viz(harness: HarnessConfig, out_dir: Path) -> list[Path]:
     ratio = tome.schedule_endpoints()[0]
     if ratio > 0.0:
         pair = np.concatenate([noise.values] * 2)  # the guidance pair `plan` was drawn for
-        mplan = build_merge_plan(pair, plan, ratio)
+        with single_blas_thread():
+            mplan = build_merge_plan(pair, plan, ratio)
         path = out_dir / "merge_map_step0.ppm"
         path.write_bytes(merge_map_to_ppm(mplan, h, w))
         paths.append(path)

@@ -24,9 +24,10 @@ import numpy as np
 DTYPE = np.float32
 
 
-# Thread-count getters of the scipy-openblas build numpy wheels ship, and of a
-# system OpenBLAS.
+# Thread-count getters and setters of the scipy-openblas build numpy wheels
+# ship, and of a system OpenBLAS.
 BLAS_THREAD_GETTERS = ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads")
+BLAS_THREAD_SETTERS = ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads")
 
 
 class ShapeError(ValueError):
@@ -138,31 +139,50 @@ def layernorm_rows(a, eps: float = 1e-5) -> np.ndarray:
 
 
 @functools.cache
-def _blas_thread_getter():
-    """The thread-count getter of the OpenBLAS this process loaded, or None.
+def _openblas_libraries() -> tuple[ctypes.CDLL, ...]:
+    """The OpenBLAS libraries mapped into this process, opened through ctypes.
 
-    The library is found among the files mapped into the process (Linux
-    `/proc/self/maps`) and opened through ctypes; it stays loaded, so the
-    search runs once.
+    They are found among the files mapped into the process (Linux
+    `/proc/self/maps`); they stay loaded, so the search runs once. Empty where
+    the map cannot be read or names no OpenBLAS.
     """
     try:
         with open("/proc/self/maps") as maps:
             fields = [line.split(maxsplit=5) for line in maps]
     except OSError:
-        return None
+        return ()
     paths = sorted({f[5].strip() for f in fields if len(f) == 6 and "openblas" in f[5]})
+    libraries = []
     for path in paths:
         try:
-            lib = ctypes.CDLL(path)
+            libraries.append(ctypes.CDLL(path))
         except OSError:
             continue
-        for name in BLAS_THREAD_GETTERS:
-            getter = getattr(lib, name, None)
-            if getter is not None:
-                getter.argtypes = ()
-                getter.restype = ctypes.c_int
-                return getter
+    return tuple(libraries)
+
+
+def _blas_function(names: tuple[str, ...], argtypes: tuple, restype):
+    """The first of `names` exported by a mapped OpenBLAS, typed; None if none is."""
+    for lib in _openblas_libraries():
+        for name in names:
+            function = getattr(lib, name, None)
+            if function is not None:
+                function.argtypes = argtypes
+                function.restype = restype
+                return function
     return None
+
+
+@functools.cache
+def _blas_thread_getter():
+    """The thread-count getter of the OpenBLAS this process loaded, or None."""
+    return _blas_function(BLAS_THREAD_GETTERS, (), ctypes.c_int)
+
+
+@functools.cache
+def _blas_thread_setter():
+    """The thread-count setter of the OpenBLAS this process loaded, or None."""
+    return _blas_function(BLAS_THREAD_SETTERS, (ctypes.c_int,), None)
 
 
 def blas_threads() -> int | None:
@@ -173,3 +193,27 @@ def blas_threads() -> int | None:
     """
     getter = _blas_thread_getter()
     return None if getter is None else int(getter())
+
+
+@contextmanager
+def single_blas_thread():
+    """Compute the `with` body on one OpenBLAS thread; restore the count on exit.
+
+    Every product here is skinny (16-wide heads, 64 channels): a second
+    thread shortens few of them but spins on a core after each call, which
+    nearly doubles a run's CPU time. The thread count also decides how
+    OpenBLAS splits a product, and so the bits of its result; on one thread,
+    results do not depend on `OPENBLAS_NUM_THREADS`. The previous count comes
+    back also when the body raises. A no-op where no setter or no getter is
+    found.
+    """
+    setter, getter = _blas_thread_setter(), _blas_thread_getter()
+    if setter is None or getter is None:
+        yield
+        return
+    previous = int(getter())
+    setter(1)
+    try:
+        yield
+    finally:
+        setter(previous)

@@ -169,13 +169,16 @@ class RunTrace:
 
     `baseline_step_times` holds the wall time of each step of the baseline
     denoise the run computed, and stays None when the run computed none.
+    `blas_threads` is the OpenBLAS thread count the run computed with, None
+    where it was not read.
     """
 
-    def __init__(self):
+    def __init__(self, blas_threads: int | None = None):
         self.records: list[BlockTraceRecord] = []
         self.step_times: list[float] = []
         self.step_minor_faults: list[int] = []
         self.baseline_step_times: list[float] | None = None
+        self.blas_threads = blas_threads
 
     def add(self, record: BlockTraceRecord) -> None:
         self.records.append(record)
@@ -295,8 +298,9 @@ class UNetModel:
 
         A shared element stays one until cross-attention, the first component
         that reads the prompt, and is repeated to the prompt batch there. When
-        the partition draws a mask per element, it is repeated on entry, so
-        each element merges by its own mask. The partition is drawn for the
+        the partition draws a mask per element and edges are not shared, it is
+        repeated on entry, so each element merges by its own mask; shared
+        edges read element 0's mask alone. The partition is drawn for the
         prompt batch either way.
         """
         batch = prompts.shape[0]
@@ -305,7 +309,8 @@ class UNetModel:
         if eligible:
             part = make_partition(GridShape(batch, height, width), tome.partition,
                                   StreamRng(tome.seed), step, layer)
-            if tome.partition.draws_per_element and values.shape[0] != batch:
+            if (tome.partition.draws_per_element and not tome.share_guidance_edges
+                    and values.shape[0] != batch):
                 values = np.repeat(values, batch, axis=0)
             similarity = SimilarityCounter()
             with count_similarity_calls(similarity):

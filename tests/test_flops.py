@@ -14,6 +14,7 @@ from tomebench.flops import (
     self_attention_flops,
 )
 from tomebench.grid import GridShape, TokenGrid
+from tomebench.partition import PartitionScheme
 from tomebench.tensor import DTYPE, FlopCounter, count_matmul_flops
 from tomebench.unet import build_spec, merged_token_counts
 
@@ -158,7 +159,10 @@ class TestInstrumentedEquality:
 @pytest.mark.parametrize("tome,ratio,counted_per_step", [
     (None, 0.0, 1_472_200_704),  # the pair's 1,774,190,592 less 301,989,888
     (ToMeConfig(), 0.5, 817_889_280),  # the pair's 901,775,360 less 83,886,080
-], ids=["baseline", "default"])
+    # per-element masks, but shared edges read element 0's alone
+    (ToMeConfig(partition=PartitionScheme.rand_tile(2, 2, batch_fix=False),
+                share_guidance_edges=True), 0.5, 817_889_280),
+], ids=["baseline", "default", "shared-edges-without-batch-fix"])
 def test_denoise_step_runs_block_zero_self_attention_once(tome, ratio, counted_per_step):
     """The shared latent saves exactly one element's block-0 self-attention matmuls."""
     spec = build_spec(HarnessConfig())  # the default 32x32 model
