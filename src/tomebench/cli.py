@@ -31,6 +31,7 @@ _MAX_RANGE_POINTS = 1000
 # glibc mallopt parameters and the values `keep_freed_heap` gives them.
 M_TRIM_THRESHOLD = -1
 M_MMAP_THRESHOLD = -3
+M_ARENA_MAX = -8
 MMAP_THRESHOLD_BYTES = 32 * 2**20
 TRIM_THRESHOLD_BYTES = 64 * 2**20
 
@@ -43,7 +44,10 @@ def keep_freed_heap() -> None:
     heap top and their pages fault in again on the next block. Fixing both
     thresholds turns that dynamic adjustment off: allocations below 32 MiB come
     from the heap, and the heap top is trimmed only once 64 MiB of it lies free.
-    Values computed do not change. A no-op where the C library has no mallopt.
+    One arena serves every thread: the attention helper thread would otherwise
+    allocate from a second arena, whose freed memory the trim threshold never
+    hands back. Values computed do not change. A no-op where the C library has
+    no mallopt.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -53,6 +57,7 @@ def keep_freed_heap() -> None:
     mallopt.restype = ctypes.c_int
     mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES)
     mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD_BYTES)
+    mallopt(M_ARENA_MAX, 1)
 
 
 def _add_run_flags(parser: argparse.ArgumentParser, sweep: bool = False) -> None:

@@ -195,7 +195,8 @@ def timing_dict(trace: RunTrace) -> dict:
 
     The baseline's steps are null when the run reused a baseline or needed
     none. The BLAS thread count is the one the run computed with, read inside
-    `execute_run`; it is null where it could not be read.
+    `execute_run`; it is null where it could not be read. The attention
+    thread count is the threads the run's row-block attention computed on.
     """
     baseline = trace.baseline_step_times
     return {
@@ -204,4 +205,5 @@ def timing_dict(trace: RunTrace) -> dict:
         "minor_faults_per_step": list(trace.step_minor_faults),
         "baseline_wall_time_per_step_s": None if baseline is None else [float(t) for t in baseline],
         "blas_threads": trace.blas_threads,
+        "attention_threads": trace.attention_threads,
     }

@@ -20,8 +20,8 @@ from .metrics import RunReport, aggregate, report_csv_row, sweep_csv, timing_dic
 from .partition import PartitionScheme, expected_dst_count, make_partition
 from .rng import StreamRng
 from .tensor import blas_threads, single_blas_thread
-from .unet import (RunTrace, UNetModel, UNetSpec, build_spec, init_unet, merged_token_counts,
-                   policy_covers)
+from .unet import (RunTrace, UNetModel, UNetSpec, attention_threads, build_spec, init_unet,
+                   merged_token_counts, policy_covers)
 from .viz import merge_map_to_ppm, write_partition_ppms
 
 
@@ -113,7 +113,7 @@ def execute_run(harness: HarnessConfig, model: UNetModel | None = None,
     tome = harness.tome
     noise = make_init_noise(spec, tome.seed)
 
-    trace = RunTrace(blas_threads=blas_threads())
+    trace = RunTrace(blas_threads=blas_threads(), attention_threads=attention_threads())
     peak_ratio = ratio_at(schedule, peak_step(schedule))
     merges = any(m is not None for m in merged_token_counts(spec, tome, peak_ratio))
     active_tome = tome if merges else None

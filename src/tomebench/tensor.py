@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -40,12 +41,17 @@ class NonFiniteError(ArithmeticError):
 
 @dataclass
 class FlopCounter:
-    """Accumulates multiply-add FLOPs (2 per MAC) for matmul calls."""
+    """Accumulates multiply-add FLOPs (2 per MAC) for matmul calls.
+
+    Calls from every thread count, also from a helper thread that computes
+    part of an attention call; the update is locked, so none is lost.
+    """
 
     matmul: int = 0
 
 
 _active_counters: list[FlopCounter] = []
+_counters_lock = threading.Lock()
 
 
 @contextmanager
@@ -80,11 +86,13 @@ def _check_finite(a: np.ndarray, op: str) -> np.ndarray:
     return a
 
 
-def matmul(a, b) -> np.ndarray:
+def matmul(a, b, check: bool = True) -> np.ndarray:
     """Matrix product a @ b with a shape check and finite output.
 
     Stacked operands `(..., n, k) @ (..., k, m)` must have equal stack shapes
-    (no broadcasting); each matrix of the stack is one product.
+    (no broadcasting); each matrix of the stack is one product. `check=False`
+    skips the finite check, for a caller that has bounded the product below
+    float32 max itself.
     """
     a = as_stack(a, "a")
     b = as_stack(b, "b")
@@ -95,9 +103,12 @@ def matmul(a, b) -> np.ndarray:
         )
     with np.errstate(over="ignore", invalid="ignore"):
         out = a @ b
-    for counter in _active_counters:
-        counter.matmul += 2 * a.size * b.shape[-1]
-    return _check_finite(out, "matmul")
+    if _active_counters:
+        flops = 2 * a.size * b.shape[-1]
+        with _counters_lock:
+            for counter in _active_counters:
+                counter.matmul += flops
+    return _check_finite(out, "matmul") if check else out
 
 
 def softmax_rows(a, out: np.ndarray | None = None) -> np.ndarray:

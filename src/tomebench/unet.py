@@ -17,7 +17,10 @@ prompt tokens are never merged.
 A block evaluates each component once on the whole guidance batch, and
 attention serves every (element, head) pair in a few stacked products whose
 logits are tiled to at most `TILE` elements (`attention_tiles`); the bytes
-equal a loop over elements and heads. A latent the guidance elements share
+equal a loop over elements and heads. When a pair's logits split into row
+blocks and OpenBLAS runs on one thread, one helper thread computes the
+second half of the tiles (`attention_threads`); every tile issues the same
+products, so the bytes do not change. A latent the guidance elements share
 is evaluated once up to the first component that reads the prompt, block
 0's cross-attention, since every element would compute the same bytes there.
 
@@ -30,8 +33,11 @@ all), which the capacity check reads too.
 
 from __future__ import annotations
 
+import functools
 import math
+import os
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -42,13 +48,18 @@ from .matching import (SimilarityCounter, build_merge_plan, count_similarity_cal
 from .merging import MODE_MERGE, MODE_PRUNE, apply_unmerge, reduce_tokens
 from .partition import make_partition
 from .rng import StreamRng
-from .tensor import DTYPE, ShapeError, layernorm_rows, matmul, softmax_rows
+from .tensor import DTYPE, ShapeError, blas_threads, layernorm_rows, matmul, softmax_rows
+
+if TYPE_CHECKING:
+    from concurrent.futures import ThreadPoolExecutor
 
 WEIGHT_STD = 0.02
 
 # float32 attention logits per tile (1 MiB): one stacked logits product never
 # holds more, unless a single query row over all keys is longer.
 TILE = 2**18
+
+FLOAT32_MAX = float(np.finfo(DTYPE).max)
 
 
 @dataclass(frozen=True)
@@ -149,6 +160,45 @@ def attention_tiles(pairs: int, n: int, m: int) -> list[tuple[slice, slice]]:
             for g in range(pairs) for lo, hi in zip(bounds, bounds[1:])]
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on; 1 where the platform cannot say."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return 1
+
+
+def attention_threads() -> int:
+    """The threads a row-block attention call computes on now: 2 or 1.
+
+    Two when OpenBLAS computes on one thread and the process may run on two
+    or more CPUs: the caller and `_row_block_helper` then each compute half
+    of the call's tiles. Whole-pair tiles always stay on the caller: the
+    lock hand-offs of a split cost small products more CPU time than they
+    save wall time (README, "Attention kernel").
+    """
+    return 2 if blas_threads() == 1 and _usable_cpus() >= 2 else 1
+
+
+@functools.cache
+def _row_block_helper() -> ThreadPoolExecutor:
+    """The one long-lived helper thread of row-block attention, started on first use."""
+    # Imported here: concurrent.futures takes about 6 ms to import (it pulls in
+    # logging), which runs that never split a row block need not pay.
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(max_workers=1, thread_name_prefix="tomebench-attention")
+
+
+# A forked child has no helper thread, so it must start its own.
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_row_block_helper.cache_clear)
+
+
+def _max_abs(a: np.ndarray) -> float:
+    return max(float(a.max()), -float(a.min()))
+
+
 @dataclass
 class BlockTraceRecord:
     """Instrumentation for one block evaluation at one step (whole batch)."""
@@ -170,15 +220,17 @@ class RunTrace:
     `baseline_step_times` holds the wall time of each step of the baseline
     denoise the run computed, and stays None when the run computed none.
     `blas_threads` is the OpenBLAS thread count the run computed with, None
-    where it was not read.
+    where it was not read; `attention_threads` the threads its row-block
+    attention computed on (see `attention_threads`), None where not read.
     """
 
-    def __init__(self, blas_threads: int | None = None):
+    def __init__(self, blas_threads: int | None = None, attention_threads: int | None = None):
         self.records: list[BlockTraceRecord] = []
         self.step_times: list[float] = []
         self.step_minor_faults: list[int] = []
         self.baseline_step_times: list[float] | None = None
         self.blas_threads = blas_threads
+        self.attention_threads = attention_threads
 
     def add(self, record: BlockTraceRecord) -> None:
         self.records.append(record)
@@ -242,7 +294,10 @@ class UNetModel:
         `q_in` is (batch, n, channels) and `kv_in` (batch, m, channels); the
         result is (batch, n, channels). Projections run once over all rows,
         and the (element, head) pairs share their logits products in tiles
-        of at most `TILE` elements (see `attention_tiles`).
+        of at most `TILE` elements (see `attention_tiles`). Row-block tiles
+        may split between the caller and a helper thread (see
+        `attention_threads`); the caller waits for the helper before it
+        returns or raises.
         """
         batch, n, channels = q_in.shape
         m = kv_in.shape[1]
@@ -262,10 +317,33 @@ class UNetModel:
         kt = np.ascontiguousarray(split_heads(kv_in, wk).swapaxes(2, 3)).reshape(pairs, dh, m)
         v = split_heads(kv_in, wv).reshape(pairs, m, dh)
         out = np.empty((pairs, n, dh), DTYPE)
-        for group, rows in attention_tiles(pairs, n, m):
-            logits = matmul(q[group, rows], kt[group])
-            logits *= scale  # matmul returned a fresh array, so both steps work in place
-            out[group, rows] = matmul(softmax_rows(logits, out=logits), v[group])
+        # q and k are finite (their projections were checked), so no logit exceeds
+        # dh * max|q| * max|k| by more than float32 rounding, 1 + dh * 2**-23. Below
+        # float32 max no logit can be +-inf or NaN, and no tile needs its own check.
+        bound = dh * _max_abs(q) * _max_abs(kt) * (1.0 + dh * 2.0**-23)
+        check = not bound < FLOAT32_MAX
+
+        def compute(tiles):
+            for group, rows in tiles:
+                logits = matmul(q[group, rows], kt[group], check=check)
+                logits *= scale  # matmul returned a fresh array, so both steps work in place
+                out[group, rows] = matmul(softmax_rows(logits, out=logits), v[group])
+
+        tiles = attention_tiles(pairs, n, m)
+        if n * m <= TILE or attention_threads() == 1:
+            compute(tiles)
+        else:
+            # Row blocks of one pair write disjoint rows of `out`; the serial loop
+            # would raise at the first bad tile, which is in the caller's half if
+            # both halves hold one.
+            half = (len(tiles) + 1) // 2
+            helper = _row_block_helper().submit(compute, tiles[half:])
+            try:
+                compute(tiles[:half])
+            finally:
+                helper_error = helper.exception()  # waits, also when the caller's half raised
+            if helper_error is not None:
+                raise helper_error
         out = out.reshape(batch, heads, n, dh).transpose(0, 2, 1, 3)
         return matmul(out.reshape(batch * n, channels), wo).reshape(batch, n, channels)
 
