@@ -66,10 +66,6 @@ class FlopCount:
         return self.matmul_linear + self.other_linear
 
     @property
-    def matmul_total(self) -> int:
-        return self.matmul_pairwise + self.matmul_linear + self.matmul_const
-
-    @property
     def total(self) -> int:
         return (self.matmul_pairwise + self.matmul_linear + self.matmul_const
                 + self.other_pairwise + self.other_linear + self.other_const)

@@ -15,14 +15,13 @@ the elements' tokens stacked as `batch * n_tokens` rows.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .partition import PartitionPlan
-from .tensor import DTYPE, ShapeError
+from .tensor import DTYPE, ShapeError, add_counts
 
 
 class RatioError(ValueError):
@@ -34,26 +33,6 @@ def tokens_to_remove(ratio: float, n_tokens: int) -> int:
     if not 0.0 <= ratio < 1.0:
         raise RatioError(f"ratio must be in [0, 1), got {ratio}")
     return math.floor(ratio * n_tokens)
-
-
-@dataclass
-class SimilarityCounter:
-    """Counts the `cosine_similarity` calls that ran."""
-
-    calls: int = 0
-
-
-_active_counters: list[SimilarityCounter] = []
-
-
-@contextmanager
-def count_similarity_calls(counter: SimilarityCounter):
-    """Record the `cosine_similarity` calls made inside the `with` body into `counter`."""
-    _active_counters.append(counter)
-    try:
-        yield counter
-    finally:
-        _active_counters.pop()
 
 
 def cosine_similarity(src_feats, dst_feats) -> np.ndarray:
@@ -72,8 +51,7 @@ def cosine_similarity(src_feats, dst_feats) -> np.ndarray:
         safe = np.where(norms > 0, norms, DTYPE(1.0))
         return np.where(norms > 0, rows / safe, DTYPE(0.0))
 
-    for counter in _active_counters:
-        counter.calls += 1
+    add_counts(similarity_calls=1)
     sims = _unit(a) @ np.swapaxes(_unit(b), -1, -2)
     return np.clip(sims, DTYPE(-1.0), DTYPE(1.0))
 
@@ -160,23 +138,22 @@ def _group(plan: MergePlan) -> Grouping:
     return Grouping(representatives, group_ids, group_sizes, sum_order, rank_counts, slot)
 
 
-def build_merge_plan(x, plan: PartitionPlan, ratio: float, share: bool = False) -> MergePlan:
+def build_merge_plan(x, plan: PartitionPlan, ratio: float) -> MergePlan:
     """Select each element's r most similar src tokens and their best dst targets.
 
     `x` is the block input, (batch, tokens, channels); the plan is built once
-    per block per step from it and reused by every component. With `share`,
-    element 0 is planned and its edges serve every element.
+    per block per step from it and reused by every component. Each element
+    is matched by its own dst mask.
     """
     x = np.asarray(x, dtype=DTYPE)
     batch, n = plan.shape.batch, plan.shape.tokens
     if x.ndim != 3 or x.shape[:2] != (batch, n):
         raise ShapeError(f"expected ({batch}, {n}, channels) features, got {x.shape}")
 
-    mask = plan.dst_mask[:1] if share else plan.dst_mask
-    rows = np.arange(mask.shape[0])[:, None]
+    rows = np.arange(batch)[:, None]
     # Every element has the same dst count, so each side stacks to one array.
-    src_idx = np.nonzero(~mask)[1].reshape(rows.size, -1)
-    dst_idx = np.nonzero(mask)[1].reshape(rows.size, -1)
+    src_idx = np.nonzero(~plan.dst_mask)[1].reshape(batch, -1)
+    dst_idx = np.nonzero(plan.dst_mask)[1].reshape(batch, -1)
     n_src = src_idx.shape[1]
     r = tokens_to_remove(ratio, n)
     if r > n_src:
@@ -196,8 +173,7 @@ def build_merge_plan(x, plan: PartitionPlan, ratio: float, share: bool = False) 
     kept = np.sort(order[:, r:], axis=-1)
 
     edges = np.stack([src_idx[rows, chosen], dst_idx[rows, best_pos[rows, chosen]]], axis=-1)
-    merge_plan = MergePlan(n, edges, src_idx[rows, kept], n - r)
-    return merge_plan.repeated(batch) if share else merge_plan
+    return MergePlan(n, edges, src_idx[rows, kept], n - r)
 
 
 def export_edge_list(plan: MergePlan) -> str:

@@ -129,12 +129,6 @@ class PartitionPlan:
         mask.flags.writeable = False
         object.__setattr__(self, "dst_mask", mask)
 
-    def dst_indices(self, element: int) -> np.ndarray:
-        return np.flatnonzero(self.dst_mask[element])
-
-    def src_indices(self, element: int) -> np.ndarray:
-        return np.flatnonzero(~self.dst_mask[element])
-
     def prefix(self, batch: int) -> "PartitionPlan":
         """The plan of the first `batch` elements, as `make_partition` draws it for that batch."""
         return PartitionPlan(replace(self.shape, batch=batch), self.scheme,

@@ -141,7 +141,7 @@ def execute_run(harness: HarnessConfig, model: UNetModel | None = None,
 
 
 def _write_viz(harness: HarnessConfig, out_dir: Path) -> list[Path]:
-    """Render the top-scale partition mask and a step-0 merge map preview."""
+    """Render the top-scale partition masks, and a step-0 merge map where block 0 merges."""
     spec = build_spec(harness)
     tome = harness.tome
     h, w, _ = spec.scales[0]
@@ -150,7 +150,7 @@ def _write_viz(harness: HarnessConfig, out_dir: Path) -> list[Path]:
 
     noise = make_init_noise(spec, tome.seed)
     ratio = tome.schedule_endpoints()[0]
-    if ratio > 0.0:
+    if merged_token_counts(spec, tome, ratio)[0] is not None:
         pair = np.concatenate([noise.values] * 2)  # the guidance pair `plan` was drawn for
         with single_blas_thread():
             mplan = build_merge_plan(pair, plan, ratio)

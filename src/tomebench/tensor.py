@@ -41,13 +41,16 @@ class NonFiniteError(ArithmeticError):
 
 @dataclass
 class FlopCounter:
-    """Accumulates multiply-add FLOPs (2 per MAC) for matmul calls.
+    """What ran inside a `count_matmul_flops` scope.
 
-    Calls from every thread count, also from a helper thread that computes
-    part of an attention call; the update is locked, so none is lost.
+    `matmul` accumulates multiply-add FLOPs (2 per MAC) of `matmul` calls, and
+    `similarity_calls` counts `matching.cosine_similarity` calls. Calls from
+    every thread count, also from a helper thread that computes part of an
+    attention call; the update is locked, so none is lost.
     """
 
     matmul: int = 0
+    similarity_calls: int = 0
 
 
 _active_counters: list[FlopCounter] = []
@@ -56,12 +59,20 @@ _counters_lock = threading.Lock()
 
 @contextmanager
 def count_matmul_flops(counter: FlopCounter):
-    """Record matmul FLOPs issued inside the `with` body into `counter`."""
+    """Record what runs inside the `with` body into `counter`; nested scopes each get every count."""
     _active_counters.append(counter)
     try:
         yield counter
     finally:
         _active_counters.pop()
+
+
+def add_counts(matmul: int = 0, similarity_calls: int = 0) -> None:
+    """Add to every open counter."""
+    with _counters_lock:
+        for counter in _active_counters:
+            counter.matmul += matmul
+            counter.similarity_calls += similarity_calls
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -104,10 +115,7 @@ def matmul(a, b, check: bool = True) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         out = a @ b
     if _active_counters:
-        flops = 2 * a.size * b.shape[-1]
-        with _counters_lock:
-            for counter in _active_counters:
-                counter.matmul += flops
+        add_counts(matmul=2 * a.size * b.shape[-1])
     return _check_finite(out, "matmul") if check else out
 
 

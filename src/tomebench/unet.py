@@ -26,9 +26,9 @@ is evaluated once up to the first component that reads the prompt, block
 
 `merged_token_counts` is the single home of the merge policy: which blocks
 merge at a given ratio, and how many tokens their merged components evaluate.
-The forward pass, the FLOP and memory model and the token ledger all derive
-from it. It builds on `policy_covers` (the blocks the policy applies to at
-all), which the capacity check reads too.
+The forward pass, the FLOP and memory model, the token ledger and the merge
+map preview all derive from it. It builds on `policy_covers` (the blocks the
+policy applies to at all), which the capacity check reads too.
 """
 
 from __future__ import annotations
@@ -43,12 +43,12 @@ import numpy as np
 
 from .config import HarnessConfig, ToMeConfig
 from .grid import GridShape, TokenGrid
-from .matching import (SimilarityCounter, build_merge_plan, count_similarity_calls,
-                       tokens_to_remove)
+from .matching import build_merge_plan, tokens_to_remove
 from .merging import MODE_MERGE, MODE_PRUNE, apply_unmerge, reduce_tokens
 from .partition import make_partition
 from .rng import StreamRng
-from .tensor import DTYPE, ShapeError, blas_threads, layernorm_rows, matmul, softmax_rows
+from .tensor import (DTYPE, FlopCounter, ShapeError, blas_threads, count_matmul_flops,
+                     layernorm_rows, matmul, softmax_rows)
 
 if TYPE_CHECKING:
     from concurrent.futures import ThreadPoolExecutor
@@ -378,8 +378,8 @@ class UNetModel:
         that reads the prompt, and is repeated to the prompt batch there. When
         the partition draws a mask per element and edges are not shared, it is
         repeated on entry, so each element merges by its own mask; shared
-        edges read element 0's mask alone. The partition is drawn for the
-        prompt batch either way.
+        edges plan element 0 by its mask alone, and that plan serves every
+        element. The partition is drawn for the prompt batch either way.
         """
         batch = prompts.shape[0]
         n_tokens, channels = values.shape[1:]
@@ -390,10 +390,12 @@ class UNetModel:
             if (tome.partition.draws_per_element and not tome.share_guidance_edges
                     and values.shape[0] != batch):
                 values = np.repeat(values, batch, axis=0)
-            similarity = SimilarityCounter()
-            with count_similarity_calls(similarity):
-                plan = build_merge_plan(values, part.prefix(values.shape[0]), ratio,
-                                        tome.share_guidance_edges)
+            planned = 1 if tome.share_guidance_edges else values.shape[0]
+            counted = FlopCounter()
+            with count_matmul_flops(counted):
+                plan = build_merge_plan(values[:planned], part.prefix(planned), ratio)
+            if planned != values.shape[0]:
+                plan = plan.repeated(values.shape[0])
         mode = MODE_PRUNE if (tome is not None and tome.prune) else MODE_MERGE
         received = n_tokens  # token rows per element the last merged component was given
 
@@ -426,7 +428,7 @@ class UNetModel:
             record = BlockTraceRecord(step=step, layer=layer, n_tokens=n_tokens, eligible=eligible,
                                       r=0, merged_token_count=received, similarity_computes=0)
             if eligible:
-                record.r, record.similarity_computes = plan.r, similarity.calls
+                record.r, record.similarity_computes = plan.r, counted.similarity_calls
                 record.dst_count, record.dst_masks = part.dst_count, part.packed_masks()
             trace.add(record)
         return values

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from tomebench import UNetSpec, init_unet
+from tomebench.flops import FlopCount
 from tomebench.grid import GridShape
 from tomebench.partition import PartitionPlan, PartitionScheme
 
@@ -11,6 +12,21 @@ def hand_plan(mask, height, width):
     mask = np.asarray([mask], dtype=bool)
     return PartitionPlan(GridShape(1, height, width), PartitionScheme.alternating(),
                          mask, int(mask[0].sum()))
+
+
+def dst_indices(plan: PartitionPlan, element: int) -> np.ndarray:
+    """Flat indices of one element's dst tokens, ascending."""
+    return np.flatnonzero(plan.dst_mask[element])
+
+
+def src_indices(plan: PartitionPlan, element: int) -> np.ndarray:
+    """Flat indices of one element's src tokens, ascending."""
+    return np.flatnonzero(~plan.dst_mask[element])
+
+
+def matmul_total(count: FlopCount) -> int:
+    """The matmul FLOPs of a `FlopCount`, over every scaling class."""
+    return count.matmul_pairwise + count.matmul_linear + count.matmul_const
 
 
 @pytest.fixture(scope="session")

@@ -24,6 +24,7 @@ from tomebench.partition import PartitionPlan, PartitionScheme, make_partition
 from tomebench.rng import StreamRng
 from tomebench.tensor import DTYPE, ShapeError, _check_finite, as_matrix, matmul
 from tomebench.unet import BlockTraceRecord
+from conftest import dst_indices, src_indices
 
 
 class OracleError(ValueError):
@@ -56,8 +57,8 @@ def build_merge_plan(x, plan: PartitionPlan, ratio: float, element: int = 0) -> 
     if x.ndim != 2 or x.shape[0] != n:
         raise ShapeError(f"expected ({n}, channels) features, got {x.shape}")
 
-    src_idx = plan.src_indices(element)
-    dst_idx = plan.dst_indices(element)
+    src_idx = src_indices(plan, element)
+    dst_idx = dst_indices(plan, element)
     r = tokens_to_remove(ratio, n)
     if r > src_idx.size:
         raise RatioError(
@@ -89,8 +90,8 @@ def brute_force_oracle(x, plan: PartitionPlan, ratio: float, element: int = 0) -
     if x.ndim != 2 or x.shape[0] != n:
         raise ShapeError(f"expected ({n}, channels) features, got {x.shape}")
 
-    src_idx = [int(i) for i in plan.src_indices(element)]
-    dst_idx = [int(i) for i in plan.dst_indices(element)]
+    src_idx = [int(i) for i in src_indices(plan, element)]
+    dst_idx = [int(i) for i in dst_indices(plan, element)]
     r = tokens_to_remove(ratio, n)
     if r > len(src_idx):
         raise RatioError(f"r={r} exceeds the src set size {len(src_idx)}")

@@ -34,6 +34,7 @@ from tomebench.partition import PartitionScheme, dst_fraction
 from tomebench.rng import StreamRng
 from tomebench.runner import execute_run
 from tomebench.tensor import DTYPE
+from conftest import src_indices
 from reference_kernels import brute_force_oracle, edge_set
 
 
@@ -84,7 +85,7 @@ def test_criterion_1_matching_oracle_equivalence():
         if cases % 7 == 0:
             x[nprng.integers(0, h * w)] = x[nprng.integers(0, h * w)]  # force ties
         plan = make_partition(GridShape(1, h, w), scheme, StreamRng(cases), cases % 11, cases % 5)
-        src = plan.src_indices(0).size
+        src = src_indices(plan, 0).size
         ratio = float(nprng.uniform(0.0, src / (h * w)))
         got = build_merge_plan(x[None], plan, ratio)
         want = brute_force_oracle(x, plan, ratio)
@@ -119,7 +120,7 @@ def test_criterion_2_merge_unmerge_contract():
         scheme = SCHEMES[case % len(SCHEMES)]
         x = (nprng.standard_normal((h * w, c)) * 10 ** nprng.uniform(-2, 2)).astype(DTYPE)
         plan = make_partition(GridShape(1, h, w), scheme, StreamRng(case))
-        src = plan.src_indices(0).size
+        src = src_indices(plan, 0).size
         ratio = float(nprng.uniform(0.0, src / (h * w)))
         g = build_merge_plan(x[None], plan, ratio).grouping
         merged = reduce_tokens(x, g)

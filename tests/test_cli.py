@@ -103,6 +103,19 @@ class TestRun:
         assert len(edges) == 32  # floor(0.5 * 64)
         assert all(len(line.split()) == 2 for line in edges)
 
+    @pytest.mark.parametrize("flags", [
+        ["--ratio", "0.5", "--min-tokens", "65"],  # the policy covers no block
+        ["--ratio", "0.01", "--min-tokens", "1"],  # floor(0.01 * N) == 0 in every block
+    ], ids=["uncovered", "r-zero"])
+    def test_viz_partition_draws_no_merge_where_block_zero_does_not_merge(self, tmp_path, flags):
+        out = tmp_path / "viz"
+        assert main(["run", *BASE, *flags, "--viz-partition", "--out", str(out)]) == 0
+        assert json.loads((out / "report.json").read_text())["similarity_computes"] == 0
+        assert (out / "partition_b0.ppm").exists()
+        assert (out / "partition_b1.ppm").exists()
+        assert not (out / "merge_map_step0.ppm").exists()
+        assert not (out / "merge_edges_step0.txt").exists()
+
     def test_min_tokens_top_flag_equals_config_file(self, tmp_path):
         cfg = tmp_path / "top.cfg"
         cfg.write_text("latent = 8x8\nsteps = 2\nmin_tokens = top\n")

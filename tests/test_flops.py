@@ -17,6 +17,7 @@ from tomebench.grid import GridShape, TokenGrid
 from tomebench.partition import PartitionScheme
 from tomebench.tensor import DTYPE, FlopCounter, count_matmul_flops
 from tomebench.unet import build_spec, merged_token_counts
+from conftest import matmul_total
 
 
 def all_on(ratio=0.5, **kw):
@@ -131,7 +132,7 @@ def counted_and_analytic_matmul_flops(spec, tome):
 
     blocks = flop_count(spec, tome, 0.0 if tome is None else tome.ratio)
     analytic = sum(
-        b.self_attn.matmul_total + b.cross_attn.matmul_total + b.mlp.matmul_total
+        matmul_total(b.self_attn) + matmul_total(b.cross_attn) + matmul_total(b.mlp)
         for b in blocks
     )
     return counter.matmul, analytic * batch
@@ -156,15 +157,20 @@ class TestInstrumentedEquality:
         assert counted == analytic
 
 
-@pytest.mark.parametrize("tome,ratio,counted_per_step", [
-    (None, 0.0, 1_472_200_704),  # the pair's 1,774,190,592 less 301,989,888
-    (ToMeConfig(), 0.5, 817_889_280),  # the pair's 901,775,360 less 83,886,080
+@pytest.mark.parametrize("tome,ratio,counted_per_step,similarity_calls", [
+    (None, 0.0, 1_472_200_704, 0),  # the pair's 1,774,190,592 less 301,989,888
+    (ToMeConfig(), 0.5, 817_889_280, 2),  # the pair's 901,775,360 less 83,886,080
     # per-element masks, but shared edges read element 0's alone
     (ToMeConfig(partition=PartitionScheme.rand_tile(2, 2, batch_fix=False),
-                share_guidance_edges=True), 0.5, 817_889_280),
+                share_guidance_edges=True), 0.5, 817_889_280, 2),
 ], ids=["baseline", "default", "shared-edges-without-batch-fix"])
-def test_denoise_step_runs_block_zero_self_attention_once(tome, ratio, counted_per_step):
-    """The shared latent saves exactly one element's block-0 self-attention matmuls."""
+def test_denoise_step_runs_block_zero_self_attention_once(tome, ratio, counted_per_step,
+                                                          similarity_calls):
+    """The shared latent saves exactly one element's block-0 self-attention matmuls.
+
+    The same scope also sees the one similarity call of each merging block
+    (the default policy merges the two top-scale blocks).
+    """
     spec = build_spec(HarnessConfig())  # the default 32x32 model
     model = init_unet(spec)
     counter = FlopCounter()
@@ -173,10 +179,12 @@ def test_denoise_step_runs_block_zero_self_attention_once(tome, ratio, counted_p
 
     blocks = flop_count(spec, tome, ratio)
     pair = GUIDANCE_BATCH * sum(
-        b.self_attn.matmul_total + b.cross_attn.matmul_total + b.mlp.matmul_total
+        matmul_total(b.self_attn) + matmul_total(b.cross_attn) + matmul_total(b.mlp)
         for b in blocks
     )
-    assert counter.matmul == pair - blocks[0].self_attn.matmul_total == counted_per_step
+    assert counter.matmul == pair - matmul_total(blocks[0].self_attn) == counted_per_step
+    merging = sum(count is not None for count in merged_token_counts(spec, tome, ratio))
+    assert counter.similarity_calls == merging == similarity_calls
 
 
 class TestMemoryProxy:

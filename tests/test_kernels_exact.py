@@ -146,10 +146,11 @@ def merge_cases(draw):
     feats = np.random.default_rng(seed).standard_normal((batch, n, 3)).astype(DTYPE)
     ratio = r / n
     # floor(ratio * n) can land one below r; either way the plan is valid.
-    plan = build_merge_plan(feats, part, ratio, share)
-    if share:
+    if share:  # as `UNetModel._block` shares edges: plan element 0, then repeat the plan
+        plan = build_merge_plan(feats[:1], part.prefix(1), ratio).repeated(batch)
         refs = [ref.build_merge_plan(feats[0], part, ratio, element=0)] * batch
     else:
+        plan = build_merge_plan(feats, part, ratio)
         refs = [ref.build_merge_plan(feats[e], part, ratio, element=e) for e in range(batch)]
     return x, plan, refs
 

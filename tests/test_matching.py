@@ -4,18 +4,16 @@ import pytest
 from tomebench.grid import GridShape
 from tomebench.matching import (
     RatioError,
-    SimilarityCounter,
     build_merge_plan,
     cosine_similarity,
-    count_similarity_calls,
     export_edge_list,
     tokens_to_remove,
 )
 from tomebench.partition import PartitionScheme, make_partition
 from tomebench.rng import StreamRng
-from tomebench.tensor import DTYPE, ShapeError
+from tomebench.tensor import DTYPE, FlopCounter, ShapeError, count_matmul_flops
 
-from conftest import hand_plan
+from conftest import dst_indices, hand_plan, src_indices
 from reference_kernels import OracleError, brute_force_oracle, edge_set
 
 SCHEMES = (
@@ -62,12 +60,12 @@ class TestCosineSimilarity:
             cosine_similarity(np.zeros((2, 3, 4), DTYPE), np.zeros((1, 3, 4), DTYPE))
 
     def test_counts_calls_inside_the_with_body(self):
-        counter = SimilarityCounter()
-        with count_similarity_calls(counter):
+        counter = FlopCounter()
+        with count_matmul_flops(counter):
             cosine_similarity([[1.0]], [[1.0]])
             cosine_similarity(np.ones((2, 3, 1), DTYPE), np.ones((2, 1, 1), DTYPE))
         cosine_similarity([[1.0]], [[1.0]])
-        assert counter.calls == 2
+        assert counter.similarity_calls == 2
 
 
 class TestTokensToRemove:
@@ -111,7 +109,7 @@ class TestBuildMergePlan:
         mplan = build_merge_plan(x, plan, 0.0)
         assert mplan.r == 0
         assert mplan.merged_token_count == 16
-        assert list(mplan.kept_src[0]) == list(plan.src_indices(0))
+        assert list(mplan.kept_src[0]) == list(src_indices(plan, 0))
 
     def test_ratio_beyond_src_capacity(self):
         x = np.ones((1, 16, 2), dtype=DTYPE)
@@ -125,8 +123,8 @@ class TestBuildMergePlan:
             plan = make_partition(GridShape(1, 4, 6), PartitionScheme.rand_tile(2, 2),
                                   StreamRng(int(nprng.integers(1 << 30))))
             mplan = build_merge_plan(x[None], plan, 0.3)
-            sims = cosine_similarity(x[plan.src_indices(0)], x[plan.dst_indices(0)])
-            best = dict(zip(plan.src_indices(0), sims.max(axis=1)))
+            sims = cosine_similarity(x[src_indices(plan, 0)], x[dst_indices(plan, 0)])
+            best = dict(zip(src_indices(plan, 0), sims.max(axis=1)))
             selected = {int(s) for s, _ in mplan.edges[0]}
             if not selected:
                 continue
@@ -168,7 +166,7 @@ class TestOracle:
             c = int(nprng.integers(1, 8))
             x = nprng.standard_normal((h * w, c)).astype(DTYPE)
             plan = make_partition(GridShape(1, h, w), scheme, StreamRng(case), case % 5, case % 3)
-            src = plan.src_indices(0).size
+            src = src_indices(plan, 0).size
             ratio = float(nprng.uniform(0.0, src / (h * w)))
             got = build_merge_plan(x[None], plan, ratio)
             want = brute_force_oracle(x, plan, ratio)

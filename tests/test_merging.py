@@ -9,7 +9,7 @@ from tomebench.merging import MODE_MERGE, MODE_PRUNE, apply_unmerge, reduce_toke
 from tomebench.partition import PartitionScheme, make_partition
 from tomebench.rng import StreamRng
 from tomebench.tensor import DTYPE, ShapeError
-from conftest import hand_plan
+from conftest import hand_plan, src_indices
 
 
 def plan_for(x, plan, ratio):
@@ -143,7 +143,7 @@ class TestRoundTripProperties:
         c = int(nprng.integers(1, 6))
         x = nprng.standard_normal((h * w, c)).astype(DTYPE)
         plan = make_partition(GridShape(1, h, w), PartitionScheme.rand_tile(2, 2), StreamRng(seed))
-        ratio = min(ratio, plan.src_indices(0).size / (h * w))
+        ratio = min(ratio, src_indices(plan, 0).size / (h * w))
         mplan = plan_for(x, plan, ratio)
         g = mplan.grouping
         merged = reduce_tokens(x, g)
@@ -165,7 +165,7 @@ class TestRoundTripProperties:
             plan = make_partition(GridShape(1, 6, 6), PartitionScheme.rand_tile(2, 2),
                                   StreamRng(trial))
             errors = []
-            max_ratio = plan.src_indices(0).size / 36
+            max_ratio = src_indices(plan, 0).size / 36
             for ratio in np.linspace(0.0, max_ratio, 8):
                 out = round_trip(x, plan_for(x, plan, float(ratio)))
                 errors.append(float(np.linalg.norm((out - x).astype(np.float64))))
@@ -178,7 +178,7 @@ class TestRoundTripProperties:
             plan = make_partition(GridShape(1, 4, 6), PartitionScheme.random(0.25),
                                   StreamRng(int(nprng.integers(1 << 20))))
             ratio = float(nprng.uniform(0, 0.7))
-            ratio = min(ratio, plan.src_indices(0).size / 24)
+            ratio = min(ratio, src_indices(plan, 0).size / 24)
             mplan = plan_for(x, plan, ratio)
             merged = reduce_tokens(x, mplan.grouping)
             assert merged.shape[0] == mplan.merged_token_count == 24 - mplan.r

@@ -10,6 +10,7 @@ from tomebench.partition import (
     make_partition,
 )
 from tomebench.rng import StreamRng
+from conftest import dst_indices, src_indices
 
 RNG = StreamRng(0)
 
@@ -17,7 +18,7 @@ RNG = StreamRng(0)
 class TestSchemes:
     def test_alternating_row_grid(self):
         plan = make_partition(GridShape(1, 1, 4), PartitionScheme.alternating(), RNG)
-        assert list(plan.dst_indices(0)) == [1, 3]
+        assert list(dst_indices(plan, 0)) == [1, 3]
 
     def test_alternating_even_width_makes_columns(self):
         plan = make_partition(GridShape(1, 4, 4), PartitionScheme.alternating(), RNG)
@@ -29,7 +30,7 @@ class TestSchemes:
         plan = make_partition(GridShape(1, 4, 4), PartitionScheme.strided(2, 2), RNG)
         assert plan.dst_count == 4
         assert dst_fraction(plan) == 0.25
-        ys, xs = np.divmod(plan.dst_indices(0), 4)
+        ys, xs = np.divmod(dst_indices(plan, 0), 4)
         assert set(zip(ys, xs)) == {(0, 0), (0, 2), (2, 0), (2, 2)}
 
     @pytest.mark.parametrize("sy,sx,frac", [
@@ -94,7 +95,7 @@ class TestProperties:
     def test_every_token_src_xor_dst(self, scheme):
         plan = make_partition(GridShape(2, 6, 8), scheme, StreamRng(3), 1, 2)
         for b in range(2):
-            union = np.concatenate([plan.src_indices(b), plan.dst_indices(b)])
+            union = np.concatenate([src_indices(plan, b), dst_indices(plan, b)])
             assert sorted(union) == list(range(48))
 
     def test_rand_tile_count_over_seeds(self):

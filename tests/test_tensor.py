@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from tomebench import tensor
+from tomebench.matching import cosine_similarity
 from tomebench.tensor import (
     DTYPE,
     FlopCounter,
@@ -56,6 +57,13 @@ class TestMatmul:
         with count_matmul_flops(counter):
             matmul(np.zeros((3, 4), DTYPE), np.zeros((4, 5), DTYPE))
         assert counter.matmul == 2 * 3 * 4 * 5
+        # nested scopes each receive every count, matmul FLOPs and similarity calls alike
+        inner = FlopCounter()
+        with count_matmul_flops(counter), count_matmul_flops(inner):
+            matmul(np.zeros((2, 3), DTYPE), np.zeros((3, 1), DTYPE))
+            cosine_similarity([[1.0]], [[1.0]])
+        assert (counter.matmul, counter.similarity_calls) == (2 * 3 * 4 * 5 + 2 * 2 * 3, 1)
+        assert (inner.matmul, inner.similarity_calls) == (2 * 2 * 3, 1)
 
 
 class TestSoftmaxRows:
