@@ -30,7 +30,6 @@ from .partition import (
     PartitionError,
     PartitionPlan,
     PartitionScheme,
-    dst_fraction,
     make_partition,
 )
 from .rng import StreamRng
@@ -63,7 +62,6 @@ __all__ = [
     "compare_to_baseline",
     "cosine_similarity",
     "denoise",
-    "dst_fraction",
     "export_edge_list",
     "flop_count",
     "init_unet",

@@ -58,14 +58,6 @@ class FlopCount:
         )
 
     @property
-    def pairwise(self) -> int:
-        return self.matmul_pairwise + self.other_pairwise
-
-    @property
-    def linear(self) -> int:
-        return self.matmul_linear + self.other_linear
-
-    @property
     def total(self) -> int:
         return (self.matmul_pairwise + self.matmul_linear + self.matmul_const
                 + self.other_pairwise + self.other_linear + self.other_const)
@@ -189,10 +181,12 @@ def model_overhead_flops(spec: UNetSpec) -> FlopCount:
 
 @dataclass(frozen=True)
 class RunFlops:
-    """Whole-run totals plus per-block sums over steps (per batch element)."""
+    """Whole-run totals plus per-block sums over steps (per batch element).
+
+    `total` covers the `GUIDANCE_BATCH` elements of every step.
+    """
 
     steps: int
-    batch: int
     per_block: list[BlockFlops]  # summed over steps
     model_overhead: FlopCount  # summed over steps
     total_per_element: int
@@ -201,7 +195,7 @@ class RunFlops:
     def to_dict(self) -> dict:
         return {
             "steps": self.steps,
-            "batch": self.batch,
+            "batch": GUIDANCE_BATCH,
             "total": self.total,
             "total_per_element": self.total_per_element,
             "per_block": [b.to_dict() for b in self.per_block],
@@ -222,12 +216,7 @@ def _sum_block_flops(a: BlockFlops, b: BlockFlops) -> BlockFlops:
     )
 
 
-def run_flops(
-    spec: UNetSpec,
-    tome: ToMeConfig | None,
-    schedule: Schedule,
-    batch: int = GUIDANCE_BATCH,
-) -> RunFlops:
+def run_flops(spec: UNetSpec, tome: ToMeConfig | None, schedule: Schedule) -> RunFlops:
     """Analytic FLOPs for a full denoise run of `schedule.steps` evaluations."""
     per_step = [flop_count(spec, tome, ratio_at(schedule, s)) for s in range(schedule.steps)]
     acc = [reduce(_sum_block_flops, steps) for steps in zip(*per_step)]
@@ -236,11 +225,10 @@ def run_flops(
     per_element = sum(b.total for b in acc) + overhead.total
     return RunFlops(
         steps=schedule.steps,
-        batch=batch,
         per_block=acc,
         model_overhead=overhead,
         total_per_element=per_element,
-        total=per_element * batch,
+        total=per_element * GUIDANCE_BATCH,
     )
 
 

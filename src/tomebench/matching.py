@@ -58,29 +58,30 @@ def cosine_similarity(src_feats, dst_feats) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MergePlan:
-    """Each batch element's r selected src->dst edges plus the bookkeeping to unmerge."""
+    """Each batch element's r selected src->dst edges; every other token is kept as it is."""
 
     n_tokens: int  # per element
     edges: np.ndarray  # (batch, r, 2) int64 rows of (src_flat, dst_flat), ascending src
-    kept_src: np.ndarray  # (batch, src - r) unmerged src flat indices, ascending
-    merged_token_count: int  # per element
 
     def __post_init__(self):
-        for name in ("edges", "kept_src"):
-            arr = np.asarray(getattr(self, name), dtype=np.int64).copy()
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        edges = np.asarray(self.edges, dtype=np.int64).copy()
+        edges.flags.writeable = False
+        object.__setattr__(self, "edges", edges)
 
     @property
     def r(self) -> int:
         return self.edges.shape[1]
 
+    @property
+    def merged_token_count(self) -> int:
+        """Token rows per element after merging."""
+        return self.n_tokens - self.r
+
     def repeated(self, batch: int) -> "MergePlan":
         """This one-element plan serving each of `batch` elements."""
         if self.edges.shape[0] != 1:
             raise ShapeError(f"only a one-element plan repeats, got {self.edges.shape[0]}")
-        return MergePlan(self.n_tokens, np.repeat(self.edges, batch, axis=0),
-                         np.repeat(self.kept_src, batch, axis=0), self.merged_token_count)
+        return MergePlan(self.n_tokens, np.repeat(self.edges, batch, axis=0))
 
     @cached_property
     def grouping(self) -> "Grouping":
@@ -170,10 +171,9 @@ def build_merge_plan(x, plan: PartitionPlan, ratio: float) -> MergePlan:
     ties = np.broadcast_to(np.arange(n_src), best_sim.shape)
     order = np.lexsort((ties, -best_sim), axis=-1)
     chosen = np.sort(order[:, :r], axis=-1)
-    kept = np.sort(order[:, r:], axis=-1)
 
     edges = np.stack([src_idx[rows, chosen], dst_idx[rows, best_pos[rows, chosen]]], axis=-1)
-    return MergePlan(n, edges, src_idx[rows, kept], n - r)
+    return MergePlan(n, edges)
 
 
 def export_edge_list(plan: MergePlan) -> str:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .config import REPORT_SCHEMA, HarnessConfig, ToMeConfig, config_dict, config_digest
 from .diffusion import ErrorMetrics, Schedule, build_schedule, ratio_at
-from .flops import GUIDANCE_BATCH, RunFlops, peak_live_elements, run_flops
+from .flops import RunFlops, peak_live_elements, run_flops
 from .unet import RunTrace, UNetSpec, build_spec, merged_token_counts
 
 
@@ -127,8 +127,8 @@ def aggregate(
         for step in range(schedule.steps)
     ]
 
-    flops_merged = run_flops(spec, tome, schedule, GUIDANCE_BATCH)
-    flops_baseline = run_flops(spec, None, schedule, GUIDANCE_BATCH)
+    flops_merged = run_flops(spec, tome, schedule)
+    flops_baseline = run_flops(spec, None, schedule)
     if flops_merged.total > flops_baseline.total:
         raise AggregationError("merged FLOPs exceed baseline FLOPs")
 

@@ -119,9 +119,7 @@ class PartitionPlan:
     """Per-batch-element dst mask over the tokens of a grid."""
 
     shape: GridShape
-    scheme: PartitionScheme
     dst_mask: np.ndarray  # (batch, tokens) bool, True = dst
-    dst_count: int
 
     def __post_init__(self):
         mask = np.asarray(self.dst_mask, dtype=bool)
@@ -129,10 +127,14 @@ class PartitionPlan:
         mask.flags.writeable = False
         object.__setattr__(self, "dst_mask", mask)
 
+    @property
+    def dst_count(self) -> int:
+        """dst tokens per batch element; every element of a plan has the same count."""
+        return int(np.count_nonzero(self.dst_mask[0]))
+
     def prefix(self, batch: int) -> "PartitionPlan":
         """The plan of the first `batch` elements, as `make_partition` draws it for that batch."""
-        return PartitionPlan(replace(self.shape, batch=batch), self.scheme,
-                             self.dst_mask[:batch], self.dst_count)
+        return PartitionPlan(replace(self.shape, batch=batch), self.dst_mask[:batch])
 
     def packed_masks(self) -> tuple[bytes, ...]:
         """One packed-bit blob per batch element, for trace storage."""
@@ -225,9 +227,4 @@ def make_partition(
         raise PartitionError(
             f"scheme {scheme.spec_string()} leaves an empty src or dst set on {shape}"
         )
-    return PartitionPlan(shape, scheme, masks, int(counts[0]))
-
-
-def dst_fraction(plan: PartitionPlan) -> float:
-    """dst tokens as a fraction of all tokens, per batch element."""
-    return plan.dst_count / plan.shape.tokens
+    return PartitionPlan(shape, masks)

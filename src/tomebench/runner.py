@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import csv
-import io
 import itertools
 import json
 from dataclasses import dataclass, replace
@@ -16,7 +14,7 @@ from .diffusion import (ErrorMetrics, build_schedule, compare_to_baseline, denoi
                         make_init_noise, peak_step, ratio_at)
 from .grid import GridShape, TokenGrid
 from .matching import build_merge_plan, export_edge_list, tokens_to_remove
-from .metrics import RunReport, aggregate, report_csv_row, sweep_csv, timing_dict
+from .metrics import RunReport, aggregate, sweep_csv, timing_dict
 from .partition import PartitionScheme, expected_dst_count, make_partition
 from .rng import StreamRng
 from .tensor import blas_threads, single_blas_thread
@@ -128,11 +126,9 @@ def execute_run(harness: HarnessConfig, model: UNetModel | None = None,
             key = baseline_key(harness)
             if key not in baselines:
                 baseline_trace = RunTrace()
-                computed = denoise(model, noise, schedule, None, harness.guidance_scale,
-                                   baseline_trace)
+                baselines[key] = denoise(model, noise, schedule, None, harness.guidance_scale,
+                                         baseline_trace)
                 trace.baseline_step_times = baseline_trace.step_times
-                computed.values.flags.writeable = False
-                baselines[key] = computed
             baseline_final = baselines[key]
         errors = compare_to_baseline(baseline_final, final)
 
@@ -174,12 +170,7 @@ def write_run_artifacts(output: RunOutput, out_dir: str | Path) -> dict[str, Pat
         report_path.write_bytes(output.report.to_json_bytes())
     else:
         report_path = out_dir / "report.csv"
-        row = report_csv_row(output.report)
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=list(row.keys()))
-        writer.writeheader()
-        writer.writerow(row)
-        report_path.write_text(buf.getvalue())
+        report_path.write_text(sweep_csv([output.report]))
     written["report"] = report_path
 
     timing_path = out_dir / "timing.json"

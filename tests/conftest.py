@@ -4,14 +4,13 @@ import pytest
 from tomebench import UNetSpec, init_unet
 from tomebench.flops import FlopCount
 from tomebench.grid import GridShape
-from tomebench.partition import PartitionPlan, PartitionScheme
+from tomebench.matching import MergePlan
+from tomebench.partition import PartitionPlan
 
 
 def hand_plan(mask, height, width):
     """PartitionPlan from an explicit dst mask over a single-element batch."""
-    mask = np.asarray([mask], dtype=bool)
-    return PartitionPlan(GridShape(1, height, width), PartitionScheme.alternating(),
-                         mask, int(mask[0].sum()))
+    return PartitionPlan(GridShape(1, height, width), np.asarray([mask], dtype=bool))
 
 
 def dst_indices(plan: PartitionPlan, element: int) -> np.ndarray:
@@ -24,9 +23,29 @@ def src_indices(plan: PartitionPlan, element: int) -> np.ndarray:
     return np.flatnonzero(~plan.dst_mask[element])
 
 
+def dst_fraction(plan: PartitionPlan) -> float:
+    """dst tokens as a fraction of all tokens, per batch element."""
+    return plan.dst_count / plan.shape.tokens
+
+
+def kept_src(mplan: MergePlan, plan: PartitionPlan, element: int) -> np.ndarray:
+    """Flat indices of one element's src tokens that merge into no dst, ascending."""
+    return np.setdiff1d(src_indices(plan, element), mplan.edges[element, :, 0])
+
+
 def matmul_total(count: FlopCount) -> int:
     """The matmul FLOPs of a `FlopCount`, over every scaling class."""
     return count.matmul_pairwise + count.matmul_linear + count.matmul_const
+
+
+def pairwise(count: FlopCount) -> int:
+    """The FLOPs of a `FlopCount` that scale with n^2."""
+    return count.matmul_pairwise + count.other_pairwise
+
+
+def linear(count: FlopCount) -> int:
+    """The FLOPs of a `FlopCount` that scale with n."""
+    return count.matmul_linear + count.other_linear
 
 
 @pytest.fixture(scope="session")

@@ -84,6 +84,13 @@ class TestRun:
         assert len(rows) == 1
         assert float(rows[0]["ratio"]) == 0.5
 
+    def test_csv_report_is_the_one_point_sweep_table(self, tmp_path):
+        flags = ["--latent", "8x8", "--steps", "2", "--ratio", "0.4", "--seed", "4"]
+        assert main(["run", *flags, "--format", "csv", "--out", str(tmp_path / "run")]) == 0
+        assert main(["sweep", *flags, "--out", str(tmp_path / "sweep")]) == 0
+        table = (tmp_path / "sweep" / "sweep.csv").read_bytes()
+        assert (tmp_path / "run" / "report.csv").read_bytes() == table
+
     def test_prune_flag(self, tmp_path):
         merge_out, prune_out = tmp_path / "m", tmp_path / "p"
         assert main(["run", *BASE, "--ratio", "0.5", "--out", str(merge_out)]) == 0

@@ -17,7 +17,7 @@ from tomebench.grid import GridShape, TokenGrid
 from tomebench.partition import PartitionScheme
 from tomebench.tensor import DTYPE, FlopCounter, count_matmul_flops
 from tomebench.unet import build_spec, merged_token_counts
-from conftest import matmul_total
+from conftest import linear, matmul_total, pairwise
 
 
 def all_on(ratio=0.5, **kw):
@@ -29,9 +29,9 @@ class TestClosedForms:
     def test_self_attention_pairwise_quarter_at_half_tokens(self):
         full = self_attention_flops(1024, 64, 4)
         half = self_attention_flops(512, 64, 4)
-        assert half.pairwise * 4 == full.pairwise
+        assert pairwise(half) * 4 == pairwise(full)
         assert half.matmul_pairwise * 4 == full.matmul_pairwise
-        assert half.linear * 2 == full.linear
+        assert linear(half) * 2 == linear(full)
 
     def test_mlp_halves_linearly(self):
         assert mlp_flops(512, 64).total * 2 == mlp_flops(1024, 64).total
@@ -40,7 +40,7 @@ class TestClosedForms:
         full = cross_attention_flops(1024, 8, 64, 4)
         half = cross_attention_flops(512, 8, 64, 4)
         assert half.matmul_const == full.matmul_const  # prompt projections never shrink
-        assert half.linear * 2 == full.linear
+        assert linear(half) * 2 == linear(full)
 
     def test_merged_count(self):
         # n' = N - floor(ratio * N) for a merging block
@@ -65,8 +65,8 @@ class TestFlopCountPolicy:
         base = flop_count(tiny_spec, None, 0.0)
         for mb, bb in zip(merged, base):
             if mb.n_tokens >= tiny_spec.top_tokens:
-                assert mb.self_attn.pairwise * 4 == bb.self_attn.pairwise
-                assert mb.self_attn.linear * 2 == bb.self_attn.linear
+                assert pairwise(mb.self_attn) * 4 == pairwise(bb.self_attn)
+                assert linear(mb.self_attn) * 2 == linear(bb.self_attn)
                 assert mb.cross_attn.to_dict() == bb.cross_attn.to_dict()
                 assert mb.mlp.to_dict() == bb.mlp.to_dict()
                 assert mb.merged_token_count * 2 == mb.n_tokens

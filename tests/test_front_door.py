@@ -72,3 +72,54 @@ def test_any_flag_value_exits_0_or_1(monkeypatch, capsys):
 
     check()
 
+
+
+RATIOS = st.floats(0.0, 0.99).map(str)
+PARTITIONS = st.one_of(
+    st.sampled_from(("alt", "rand2x2")),
+    st.builds("strided:{}x{}".format, st.integers(1, 3), st.integers(1, 3)),
+    st.floats(0.01, 0.99).map("rand:{}".format),
+)
+
+
+@st.composite
+def tiny_configs(draw):
+    """Raw settings of a model small enough to denoise in a few milliseconds.
+
+    Geometry, partition, policy and schedule are all drawn, so most mappings
+    break some rule and `resolve` refuses them.
+    """
+    heads = draw(st.sampled_from((1, 2, 4)))
+    height, width = (draw(st.sampled_from((1, 2, 3, 4, 6, 8))) for _ in range(2))
+    components = draw(st.lists(st.sampled_from(("self", "cross", "mlp")), min_size=1,
+                               unique=True))
+    mapping = {
+        "latent": f"{height}x{width}",
+        "steps": str(draw(st.integers(1, 2))),
+        "heads": str(heads),
+        "channels": str(heads * draw(st.sampled_from((1, 2, 4)))),
+        "num_scales": str(draw(st.integers(1, 3))),
+        "blocks_per_scale": str(draw(st.integers(1, 2))),
+        "prompt_tokens": str(draw(st.integers(1, 3))),
+        "partition": draw(PARTITIONS),
+        "batch_fix": str(draw(st.booleans())),
+        "apply": ",".join(components),
+        "min_tokens": draw(st.one_of(st.just("top"), st.integers(1, 65).map(str))),
+        "prune": str(draw(st.booleans())),
+        "share_guidance_edges": str(draw(st.booleans())),
+        "seed": str(draw(st.integers(0, 3))),
+    }
+    endpoints = dict.fromkeys(("ratio", "ratio_start", "ratio_end"), RATIOS)
+    mapping.update(draw(st.fixed_dictionaries({}, optional=endpoints)))
+    return mapping
+
+
+@settings(max_examples=50, deadline=None)
+@given(tiny_configs())
+def test_every_accepted_tiny_config_runs_to_completion(mapping):
+    try:
+        harness = harness_from_mapping(mapping)
+        resolve(harness)
+    except ConfigError:
+        return  # refused before any compute: the front door did its job
+    execute_run(harness)

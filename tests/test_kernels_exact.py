@@ -18,11 +18,11 @@ from tomebench.diffusion import BASE_ALPHA, ratio_at
 from tomebench.grid import GridShape, TokenGrid
 from tomebench.matching import MergePlan, RatioError, build_merge_plan
 from tomebench.merging import MODE_MERGE, MODE_PRUNE, apply_unmerge, reduce_tokens
-from tomebench.partition import PartitionError, PartitionScheme, make_partition
+from tomebench.partition import PartitionError, PartitionPlan, PartitionScheme, make_partition
 from tomebench.rng import StreamRng
 from tomebench.tensor import (DTYPE, FlopCounter, NonFiniteError, count_matmul_flops,
                               layernorm_rows, softmax_rows)
-from conftest import hand_plan
+from conftest import hand_plan, kept_src
 
 INF = float("inf")
 
@@ -124,7 +124,9 @@ def scheme_of(text: str, batch_fix: bool = True) -> PartitionScheme:
 
 @st.composite
 def merge_cases(draw):
-    """(x, plan, reference plans) over odd and even grids, ragged tiles and large groups.
+    """(x, plan, partition, reference plans): odd and even grids, ragged tiles, large groups.
+
+    Element e of the partition is the dst mask element e was matched under.
 
     Batches of one and two elements, with and without `batch_fix` and shared
     guidance edges, and r from 0 up to the src count.
@@ -149,18 +151,19 @@ def merge_cases(draw):
     if share:  # as `UNetModel._block` shares edges: plan element 0, then repeat the plan
         plan = build_merge_plan(feats[:1], part.prefix(1), ratio).repeated(batch)
         refs = [ref.build_merge_plan(feats[0], part, ratio, element=0)] * batch
+        part = PartitionPlan(part.shape, np.repeat(part.dst_mask[:1], batch, axis=0))
     else:
         plan = build_merge_plan(feats, part, ratio)
         refs = [ref.build_merge_plan(feats[e], part, ratio, element=e) for e in range(batch)]
-    return x, plan, refs
+    return x, plan, part, refs
 
 
-def assert_same_plan(plan, refs):
+def assert_same_plan(plan, part, refs):
     m = plan.merged_token_count
     g = plan.grouping
     for e, old in enumerate(refs):
         assert plan.edges[e].tobytes() == old.edges.tobytes()
-        assert plan.kept_src[e].tobytes() == old.kept_src.tobytes()
+        assert kept_src(plan, part, e).tobytes() == old.kept_src.tobytes()
         assert (plan.r, m) == (old.r, old.merged_token_count)
         representatives, group_ids, group_sizes = ref.grouping(old)
         rows, tokens = slice(e * m, (e + 1) * m), slice(e * plan.n_tokens, (e + 1) * plan.n_tokens)
@@ -186,8 +189,8 @@ class TestMergePath:
     @settings(max_examples=300, deadline=None)
     @given(merge_cases(), st.sampled_from([MODE_MERGE, MODE_PRUNE]))
     def test_reduce_and_unmerge(self, case, mode):
-        x, plan, refs = case
-        assert_same_plan(plan, refs)
+        x, plan, part, refs = case
+        assert_same_plan(plan, part, refs)
         assert_same_merge(x, plan, refs, mode)
 
     def test_large_groups(self, nprng):
@@ -197,7 +200,7 @@ class TestMergePath:
         plan = build_merge_plan(feats, part, 0.9)
         assert plan.grouping.group_sizes.max() > 8
         refs = [ref.build_merge_plan(feats[e], part, 0.9, element=e) for e in range(2)]
-        assert_same_plan(plan, refs)
+        assert_same_plan(plan, part, refs)
         # Wide dynamic range makes every association order round differently.
         x = (nprng.standard_normal((512, 6)) * 10.0 ** nprng.integers(-20, 20, (512, 6)))
         assert_same_merge(x.astype(DTYPE), plan, refs, MODE_MERGE)
@@ -211,7 +214,7 @@ class TestMergePath:
         assert_same_merge(x, plan, refs, MODE_MERGE)
 
     def test_one_token_plan(self):
-        plan = MergePlan(1, np.empty((1, 0, 2), np.int64), np.empty((1, 0), np.int64), 1)
+        plan = MergePlan(1, np.empty((1, 0, 2), np.int64))
         refs = [ref.ElementPlan(1, np.empty((0, 2), np.int64), np.empty(0, np.int64), 1)]
         assert_same_merge(np.array([[-0.0, 2.5]], DTYPE), plan, refs, MODE_MERGE)
 

@@ -13,7 +13,7 @@ from tomebench.partition import PartitionScheme, make_partition
 from tomebench.rng import StreamRng
 from tomebench.tensor import DTYPE, FlopCounter, ShapeError, count_matmul_flops
 
-from conftest import dst_indices, hand_plan, src_indices
+from conftest import dst_indices, hand_plan, kept_src, src_indices
 from reference_kernels import OracleError, brute_force_oracle, edge_set
 
 SCHEMES = (
@@ -90,7 +90,7 @@ class TestBuildMergePlan:
         assert mplan.merged_token_count == 2
         # both src tokens (0, 2) merge into the first dst (flat 1)
         assert edge_set(mplan.edges[0]) == {(0, 1), (2, 1)}
-        assert list(mplan.kept_src[0]) == []
+        assert list(kept_src(mplan, plan, 0)) == []
 
     def test_enumerated_selection(self):
         # tokens: src0=[1,0] src1=[0,1] src2=[0.6,0.8] dst0=[1,0] dst1=[0,1]
@@ -101,7 +101,7 @@ class TestBuildMergePlan:
         # src0 and src1 both have best similarity 1.0; the lower src index wins,
         # and src0's best dst is the lower-index dst0 (flat 3)
         assert edge_set(mplan.edges[0]) == {(0, 3)}
-        assert list(mplan.kept_src[0]) == [1, 2]
+        assert list(kept_src(mplan, plan, 0)) == [1, 2]
 
     def test_ratio_zero_is_identity_plan(self):
         x = np.ones((1, 16, 2), dtype=DTYPE)
@@ -109,7 +109,7 @@ class TestBuildMergePlan:
         mplan = build_merge_plan(x, plan, 0.0)
         assert mplan.r == 0
         assert mplan.merged_token_count == 16
-        assert list(mplan.kept_src[0]) == list(src_indices(plan, 0))
+        assert list(kept_src(mplan, plan, 0)) == list(src_indices(plan, 0))
 
     def test_ratio_beyond_src_capacity(self):
         x = np.ones((1, 16, 2), dtype=DTYPE)
@@ -129,7 +129,7 @@ class TestBuildMergePlan:
             if not selected:
                 continue
             worst_selected = min(best[s] for s in selected)
-            for s in mplan.kept_src[0]:
+            for s in kept_src(mplan, plan, 0):
                 assert best[int(s)] <= worst_selected
 
     def test_wrong_token_count(self):
@@ -172,7 +172,7 @@ class TestOracle:
             want = brute_force_oracle(x, plan, ratio)
             assert edge_set(got.edges[0]) == edge_set(want.edges)
             assert np.array_equal(got.edges[0], want.edges)
-            assert np.array_equal(got.kept_src[0], want.kept_src)
+            assert np.array_equal(kept_src(got, plan, 0), want.kept_src)
             assert got.merged_token_count == want.merged_token_count
 
 

@@ -5,12 +5,11 @@ from tomebench.grid import GridShape
 from tomebench.partition import (
     PartitionError,
     PartitionScheme,
-    dst_fraction,
     expected_dst_count,
     make_partition,
 )
 from tomebench.rng import StreamRng
-from conftest import dst_indices, src_indices
+from conftest import dst_fraction, dst_indices, src_indices
 
 RNG = StreamRng(0)
 

@@ -7,6 +7,8 @@ from tomebench.rng import StreamRng
 from tomebench.tensor import DTYPE
 from tomebench.viz import mask_to_ppm, merge_map_to_ppm, write_partition_ppms
 
+from conftest import kept_src
+
 
 def parse_p3(data: bytes) -> np.ndarray:
     tokens = data.decode("ascii").split()
@@ -51,7 +53,7 @@ def test_merge_map_groups_share_color(nprng):
     pixels = parse_p3(merge_map_to_ppm(mplan, 4, 4)).reshape(16, 3)
     for src, dst in mplan.edges[0]:
         assert np.array_equal(pixels[src], pixels[dst])
-    for kept in mplan.kept_src[0]:
+    for kept in kept_src(mplan, plan, 0):
         assert np.array_equal(pixels[kept], [40, 40, 40])
 
 
