@@ -15,7 +15,7 @@ from .config import (ConfigError, HarnessConfig, harness_from_mapping, load_conf
                      parse_float, parse_int)
 from .grid import GridShape
 from .metrics import speedup_estimate
-from .partition import make_partition
+from .partition import PARTITION_SYNTAX, make_partition
 from .rng import StreamRng
 from .runner import (check_partition_sides, execute_run, run_sweep, sweep_points,
                      write_run_artifacts)
@@ -65,7 +65,7 @@ def _add_run_flags(parser: argparse.ArgumentParser, sweep: bool = False) -> None
     axis = "; a sweep axis takes a comma list" if sweep else ""
     parser.add_argument("--ratio", help="fraction of all tokens to remove"
                         + (f"{axis} or START:END:STEP" if sweep else ""))
-    parser.add_argument("--partition", help=f"alt | strided:SYxSX | rand:F | rand2x2{axis}")
+    parser.add_argument("--partition", help=f"{PARTITION_SYNTAX}{axis}")
     parser.add_argument("--seed", help=f"run seed (partitions and init noise){axis}")
     parser.add_argument("--ratio-start", help="schedule start ratio")
     parser.add_argument("--ratio-end", help="schedule end ratio")
@@ -175,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.set_defaults(func=_cmd_sweep)
 
     viz_p = sub.add_parser("viz", help="render partition masks as pixmaps")
-    viz_p.add_argument("--partition", required=True, help="alt | strided:SYxSX | rand:F | rand2x2")
+    viz_p.add_argument("--partition", required=True, help=PARTITION_SYNTAX)
     viz_p.add_argument("--latent", required=True, metavar="HxW")
     viz_p.add_argument("--seed", default="0")
     viz_p.add_argument("--batch", default="1")

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Callable
 
-from .partition import PartitionScheme
+from .partition import PARTITION_SYNTAX, PartitionScheme
 
 REPORT_SCHEMA = "tomebench-report/1"
 
@@ -198,8 +198,7 @@ _PARSERS = {
     **dict.fromkeys(("ratio", "ratio_start", "ratio_end", "guidance"), parse_float),
     **dict.fromkeys(("batch_fix", "prune", "compare_baseline", "viz_partition",
                      "share_guidance_edges"), _parse_flag),
-    "partition": _parser(PartitionScheme.parse,
-                         "alt | strided:SYxSX | rand:F with 0 < F < 1 | rand2x2"),
+    "partition": _parser(PartitionScheme.parse, PARTITION_SYNTAX),
     "apply": _parser(_parse_apply, "a comma list of self,cross,mlp"),
     "min_tokens": _parser(lambda text: None if text.strip() == "top" else int(text),
                           "an integer or top"),
@@ -259,7 +258,7 @@ def harness_from_mapping(mapping: dict[str, str], base: HarnessConfig | None = N
     if "partition" in values or "batch_fix" in values:
         scheme = values.pop("partition", cfg.tome.partition)
         batch_fix = values.pop("batch_fix", cfg.tome.partition.batch_fix)
-        tome_updates["partition"] = scheme.with_batch_fix(batch_fix)
+        tome_updates["partition"] = replace(scheme, batch_fix=batch_fix)
     tome = replace(cfg.tome, **tome_updates)
     return replace(cfg, tome=tome, **{_HARNESS_FIELDS.get(k, k): v for k, v in values.items()})
 

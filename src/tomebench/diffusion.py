@@ -31,6 +31,7 @@ from .unet import RunTrace, UNetModel, UNetSpec
 
 BASE_ALPHA = 0.1
 DEFAULT_GUIDANCE_SCALE = 7.5
+GUIDANCE_BATCH = 2  # the (prompt, zero prompt) pair each `denoise` step evaluates
 
 
 class ScheduleRangeError(IndexError):

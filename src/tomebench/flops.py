@@ -28,14 +28,13 @@ from dataclasses import dataclass
 from functools import reduce
 
 from .config import ToMeConfig
-from .diffusion import Schedule, ratio_at
+from .diffusion import GUIDANCE_BATCH, Schedule, ratio_at
 from .unet import UNetSpec, merged_token_counts
 
 SOFTMAX_OPS = 5  # per logit element, includes max subtraction and normalize
 SCALE_OPS = 1
 LAYERNORM_OPS = 5
 GELU_OPS = 8
-GUIDANCE_BATCH = 2
 
 
 @dataclass(frozen=True)

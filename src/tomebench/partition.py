@@ -11,6 +11,10 @@ Four schemes are supported:
 - rand_tile(ty, tx): the grid is tiled into ty x tx regions (edge tiles may
   be smaller) and one dst token is drawn uniformly in each tile.
 
+`PARTITION_SYNTAX` states the spec strings that name them. `spec_string`
+writes one, and `parse` with the same `batch_fix` reads it back to the scheme
+that wrote it, so a report's `partition` re-runs the scheme that ran.
+
 For the random schemes, `batch_fix` (default on) draws the randomness once
 per (step, layer) and reuses it for every batch element. This keeps paired
 guidance batches aligned: both elements always get the same dst mask.
@@ -27,6 +31,7 @@ from .grid import GridShape
 from .rng import StreamRng
 
 _KINDS = ("alternating", "strided", "random", "rand_tile")
+PARTITION_SYNTAX = "alt | strided:SYxSX | rand:F with 0 < F < 1 | rand2x2 | randtile:TYxTX"
 
 
 class PartitionError(ValueError):
@@ -74,44 +79,37 @@ class PartitionScheme:
         """Whether each batch element gets its own random draw, so masks can differ."""
         return self.kind in ("random", "rand_tile") and not self.batch_fix
 
-    def with_batch_fix(self, batch_fix: bool) -> "PartitionScheme":
-        return replace(self, batch_fix=batch_fix)
-
     def spec_string(self) -> str:
-        """Stable string form, matching the CLI flag syntax."""
+        """The scheme in `PARTITION_SYNTAX`, which `parse` reads back to this scheme."""
         if self.kind == "alternating":
             return "alt"
         if self.kind == "strided":
             return f"strided:{self.sy}x{self.sx}"
         if self.kind == "random":
-            return f"rand:{self.dst_frac:g}"
+            return f"rand:{self.dst_frac!r}"
         if self.ty == 2 and self.tx == 2:
             return "rand2x2"
         return f"randtile:{self.ty}x{self.tx}"
 
     @classmethod
     def parse(cls, text: str, batch_fix: bool = True) -> "PartitionScheme":
-        """Parse the CLI syntax: alt | strided:SYxSX | rand:F | rand2x2."""
-        text = text.strip()
-        if text == "alt":
-            return cls.alternating(batch_fix)
-        if text == "rand2x2":
-            return cls.rand_tile(2, 2, batch_fix)
-        if text.startswith("strided:"):
-            try:
-                sy, sx = (int(p) for p in text[len("strided:"):].split("x"))
-            except ValueError:
-                raise PartitionError(f"bad stride syntax {text!r}, expected strided:SYxSX")
-            return cls.strided(sy, sx, batch_fix)
-        if text.startswith("rand:"):
-            try:
-                frac = float(text[len("rand:"):])
-            except ValueError:
-                raise PartitionError(f"bad random syntax {text!r}, expected rand:F")
-            return cls.random(frac, batch_fix)
-        raise PartitionError(
-            f"unknown partition {text!r}, expected alt | strided:SYxSX | rand:F | rand2x2"
-        )
+        """The scheme `text` names in `PARTITION_SYNTAX`; undoes `spec_string` exactly."""
+        name, colon, arg = text.strip().partition(":")
+        try:
+            if name == "alt" and not colon:
+                return cls.alternating(batch_fix)
+            if name == "rand2x2" and not colon:
+                return cls.rand_tile(2, 2, batch_fix)
+            if name == "rand" and colon:
+                return cls.random(float(arg), batch_fix)
+            if name in ("strided", "randtile") and colon:
+                a, b = (int(p) for p in arg.split("x"))
+                return (cls.strided if name == "strided" else cls.rand_tile)(a, b, batch_fix)
+        except PartitionError:
+            raise
+        except ValueError:
+            pass
+        raise PartitionError(f"bad partition {text!r}, expected {PARTITION_SYNTAX}")
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,8 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, HarnessConfig, config_dict, harness_from_mapping
-from .diffusion import (ErrorMetrics, build_schedule, compare_to_baseline, denoise,
-                        make_init_noise, peak_step, ratio_at)
+from .diffusion import (GUIDANCE_BATCH, ErrorMetrics, build_schedule, compare_to_baseline,
+                        denoise, make_init_noise, peak_step, ratio_at)
 from .grid import GridShape, TokenGrid
 from .matching import build_merge_plan, export_edge_list, tokens_to_remove
 from .metrics import RunReport, aggregate, sweep_csv, timing_dict
@@ -141,13 +141,14 @@ def _write_viz(harness: HarnessConfig, out_dir: Path) -> list[Path]:
     spec = build_spec(harness)
     tome = harness.tome
     h, w, _ = spec.scales[0]
-    plan = make_partition(GridShape(2, h, w), tome.partition, StreamRng(tome.seed), 0, 0)
+    shape = GridShape(GUIDANCE_BATCH, h, w)
+    plan = make_partition(shape, tome.partition, StreamRng(tome.seed), 0, 0)
     paths = write_partition_ppms(plan, out_dir)
 
     noise = make_init_noise(spec, tome.seed)
     ratio = tome.schedule_endpoints()[0]
     if merged_token_counts(spec, tome, ratio)[0] is not None:
-        pair = np.concatenate([noise.values] * 2)  # the guidance pair `plan` was drawn for
+        pair = np.concatenate([noise.values] * GUIDANCE_BATCH)  # the pair `plan` was drawn for
         with single_blas_thread():
             mplan = build_merge_plan(pair, plan, ratio)
         path = out_dir / "merge_map_step0.ppm"

@@ -1,9 +1,11 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
 from tomebench.cli import main
+from tomebench.matching import build_merge_plan
 
 from test_viz import parse_p3
 
@@ -109,6 +111,44 @@ class TestRun:
         edges = (out / "merge_edges_step0.txt").read_text().strip().splitlines()
         assert len(edges) == 32  # floor(0.5 * 64)
         assert all(len(line.split()) == 2 for line in edges)
+
+    @pytest.mark.parametrize("flags,config", [
+        ([], ""),
+        (["--no-batch-fix", "--partition", "rand:0.25"], ""),
+        ([], "share_guidance_edges = true\n"),
+    ], ids=["default", "no-batch-fix", "shared-edges"])
+    def test_viz_partition_shows_the_plan_block_zero_built_at_step_zero(
+            self, tmp_path, monkeypatch, flags, config):
+        built = []
+
+        def recording(values, part, ratio):
+            plan = build_merge_plan(values, part, ratio)
+            built.append((part, plan))
+            return plan
+
+        monkeypatch.setattr("tomebench.unet.build_merge_plan", recording)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        out = tmp_path / "viz"
+        assert main(["run", *BASE, "--ratio", "0.5", *flags, "--config", str(cfg),
+                     "--viz-partition", "--out", str(out)]) == 0
+        part, plan = built[0]  # the run's first plan: block 0 at step 0
+        assert (part.shape.height, part.shape.width) == (8, 8)
+        edges = "".join(f"{s} {d}\n" for s, d in plan.edges[0].tolist())
+        assert (out / "merge_edges_step0.txt").read_text() == edges
+        for element in range(part.shape.batch):
+            pixels = parse_p3((out / f"partition_b{element}.ppm").read_bytes())
+            assert np.array_equal((pixels == 255).all(axis=2).reshape(-1),
+                                  part.dst_mask[element])
+
+    def test_report_partition_reruns_the_same_report(self, tmp_path):
+        # rand:F with more significant digits than `:g` writes
+        flags = ["run", "--latent", "32x32", "--steps", "1", "--ratio", "0.1"]
+        first, again = tmp_path / "first", tmp_path / "again"
+        assert main([*flags, "--partition", "rand:0.12353516", "--out", str(first)]) == 0
+        partition = json.loads((first / "report.json").read_text())["config"]["partition"]
+        assert main([*flags, "--partition", partition, "--out", str(again)]) == 0
+        assert (again / "report.json").read_bytes() == (first / "report.json").read_bytes()
 
     @pytest.mark.parametrize("flags", [
         ["--ratio", "0.5", "--min-tokens", "65"],  # the policy covers no block

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from tomebench import HarnessConfig, ToMeConfig, UNetSpec, init_unet
-from tomebench.diffusion import Schedule, denoise, make_init_noise
+from tomebench.diffusion import GUIDANCE_BATCH, Schedule, denoise, make_init_noise
 from tomebench.flops import (
-    GUIDANCE_BATCH,
     FlopCount,
     cross_attention_flops,
     flop_count,

@@ -78,6 +78,7 @@ RATIOS = st.floats(0.0, 0.99).map(str)
 PARTITIONS = st.one_of(
     st.sampled_from(("alt", "rand2x2")),
     st.builds("strided:{}x{}".format, st.integers(1, 3), st.integers(1, 3)),
+    st.builds("randtile:{}x{}".format, st.integers(1, 3), st.integers(1, 3)),
     st.floats(0.01, 0.99).map("rand:{}".format),
 )
 

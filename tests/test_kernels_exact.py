@@ -116,12 +116,6 @@ SCHEMES = ("alt", "strided:2x2", "strided:3x2", "rand:0.3", "rand:0.05", "rand2x
            "randtile:3x2")
 
 
-def scheme_of(text: str, batch_fix: bool = True) -> PartitionScheme:
-    if text == "randtile:3x2":
-        return PartitionScheme.rand_tile(3, 2, batch_fix)
-    return PartitionScheme.parse(text, batch_fix)
-
-
 @st.composite
 def merge_cases(draw):
     """(x, plan, partition, reference plans): odd and even grids, ragged tiles, large groups.
@@ -133,7 +127,7 @@ def merge_cases(draw):
     """
     batch = draw(st.integers(1, 2))
     height, width = draw(st.integers(1, 14)), draw(st.integers(1, 14))
-    scheme = scheme_of(draw(st.sampled_from(SCHEMES)), draw(st.booleans()))
+    scheme = PartitionScheme.parse(draw(st.sampled_from(SCHEMES)), draw(st.booleans()))
     share = draw(st.booleans())
     seed = draw(st.integers(0, 2**32))
     try:
@@ -310,8 +304,8 @@ def test_denoise_matches_reference_kernels(monkeypatch, side, scheme, prune, sha
     spec = SPECS[side]
     model = init_unet(spec)
     noise = make_init_noise(spec, 1)
-    tome = ToMeConfig(ratio=0.4, partition=scheme_of(scheme, batch_fix), apply_cross=True,
-                      apply_mlp=True, min_tokens=1, seed=2, prune=prune,
+    tome = ToMeConfig(ratio=0.4, partition=PartitionScheme.parse(scheme, batch_fix),
+                      apply_cross=True, apply_mlp=True, min_tokens=1, seed=2, prune=prune,
                       share_guidance_edges=share)
     schedule = Schedule(2, 0.4, 0.2)
     new = denoise(model, noise, schedule, tome, 7.5).values.tobytes()
@@ -389,7 +383,7 @@ def shared_latent_runs(draw):
         return spec, schedule, None
     apply = draw(st.sampled_from([(s, c, m) for s in (0, 1) for c in (0, 1) for m in (0, 1)
                                   if s or c or m]))
-    scheme = scheme_of(draw(st.sampled_from(SCHEMES)), draw(st.booleans()))
+    scheme = PartitionScheme.parse(draw(st.sampled_from(SCHEMES)), draw(st.booleans()))
     tome = ToMeConfig(ratio=start, ratio_start=start, ratio_end=end, partition=scheme,
                       apply_self=bool(apply[0]), apply_cross=bool(apply[1]),
                       apply_mlp=bool(apply[2]),

@@ -1,8 +1,13 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from tomebench.grid import GridShape
 from tomebench.partition import (
+    PARTITION_SYNTAX,
     PartitionError,
     PartitionScheme,
     expected_dst_count,
@@ -140,14 +145,32 @@ class TestParse:
         ("strided:2x4", PartitionScheme.strided(2, 4)),
         ("rand:0.25", PartitionScheme.random(0.25)),
         ("rand2x2", PartitionScheme.rand_tile(2, 2)),
+        ("randtile:3x2", PartitionScheme.rand_tile(3, 2)),
     ])
     def test_round_trip(self, text, expected):
         scheme = PartitionScheme.parse(text)
         assert scheme == expected
         assert PartitionScheme.parse(scheme.spec_string()) == scheme
 
+    @given(st.one_of(
+        st.builds(PartitionScheme.alternating, st.booleans()),
+        st.builds(PartitionScheme.strided, st.integers(1, 8), st.integers(1, 8), st.booleans()),
+        st.builds(PartitionScheme.random, st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                  st.booleans()),
+        st.builds(PartitionScheme.rand_tile, st.integers(1, 8), st.integers(1, 8), st.booleans()),
+    ))
+    @example(PartitionScheme.rand_tile(3, 2))
+    @example(PartitionScheme.random(0.12353516))  # more significant digits than `:g` writes
+    def test_spec_string_parses_back_to_the_scheme(self, scheme):
+        assert PartitionScheme.parse(scheme.spec_string(), scheme.batch_fix) == scheme
+
     def test_bad_syntax(self):
-        with pytest.raises(PartitionError):
-            PartitionScheme.parse("rand")
-        with pytest.raises(PartitionError):
-            PartitionScheme.parse("strided:ax2")
+        for text in ("rand", "strided:ax2", "strided:2", "alt:", "rand2x2:1", "randtile:3",
+                     "randtile:3x2x1", "rand:x", "tile:2x2"):
+            with pytest.raises(PartitionError, match=re.escape(f"expected {PARTITION_SYNTAX}")):
+                PartitionScheme.parse(text)
+
+    @pytest.mark.parametrize("text", ["strided:0x2", "randtile:2x0", "rand:1.0", "rand:nan"])
+    def test_out_of_range_values_keep_the_constructor_error(self, text):
+        with pytest.raises(PartitionError, match="must be"):
+            PartitionScheme.parse(text)
