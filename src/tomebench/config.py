@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Callable
 
-from .partition import PARTITION_SYNTAX, PartitionScheme
+from .partition import PartitionError, PartitionScheme
 
 REPORT_SCHEMA = "tomebench-report/1"
 
@@ -187,6 +187,14 @@ def _parser(convert: Callable[[str], Any], expected: str) -> Callable[[str, str]
     return parse
 
 
+def _parse_partition(key: str, text: str) -> PartitionScheme:
+    """`PartitionScheme.parse` as a key parser; its error states the syntax and the reason."""
+    try:
+        return PartitionScheme.parse(text)
+    except PartitionError as err:
+        raise ConfigError(key, str(err)) from None
+
+
 parse_int = _parser(int, "an integer")
 parse_float = _parser(float, "a number")
 _parse_flag = _parser(_parse_bool, "true or false")
@@ -198,7 +206,7 @@ _PARSERS = {
     **dict.fromkeys(("ratio", "ratio_start", "ratio_end", "guidance"), parse_float),
     **dict.fromkeys(("batch_fix", "prune", "compare_baseline", "viz_partition",
                      "share_guidance_edges"), _parse_flag),
-    "partition": _parser(PartitionScheme.parse, PARTITION_SYNTAX),
+    "partition": _parse_partition,
     "apply": _parser(_parse_apply, "a comma list of self,cross,mlp"),
     "min_tokens": _parser(lambda text: None if text.strip() == "top" else int(text),
                           "an integer or top"),

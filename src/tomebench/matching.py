@@ -53,7 +53,7 @@ def cosine_similarity(src_feats, dst_feats) -> np.ndarray:
 
     add_counts(similarity_calls=1)
     sims = _unit(a) @ np.swapaxes(_unit(b), -1, -2)
-    return np.clip(sims, DTYPE(-1.0), DTYPE(1.0))
+    return np.clip(sims, DTYPE(-1.0), DTYPE(1.0), out=sims)  # a fresh product: clip in place
 
 
 @dataclass(frozen=True)

@@ -93,8 +93,13 @@ class PartitionScheme:
 
     @classmethod
     def parse(cls, text: str, batch_fix: bool = True) -> "PartitionScheme":
-        """The scheme `text` names in `PARTITION_SYNTAX`; undoes `spec_string` exactly."""
+        """The scheme `text` names in `PARTITION_SYNTAX`; undoes `spec_string` exactly.
+
+        The error quotes `text` and states the syntax, plus the reason when
+        the syntax holds but a value is out of range.
+        """
         name, colon, arg = text.strip().partition(":")
+        reason = ""
         try:
             if name == "alt" and not colon:
                 return cls.alternating(batch_fix)
@@ -105,11 +110,11 @@ class PartitionScheme:
             if name in ("strided", "randtile") and colon:
                 a, b = (int(p) for p in arg.split("x"))
                 return (cls.strided if name == "strided" else cls.rand_tile)(a, b, batch_fix)
-        except PartitionError:
-            raise
+        except PartitionError as err:
+            reason = f" ({err})"
         except ValueError:
             pass
-        raise PartitionError(f"bad partition {text!r}, expected {PARTITION_SYNTAX}")
+        raise PartitionError(f"bad partition {text!r}{reason}, expected {PARTITION_SYNTAX}")
 
 
 @dataclass(frozen=True)
@@ -125,18 +130,9 @@ class PartitionPlan:
         mask.flags.writeable = False
         object.__setattr__(self, "dst_mask", mask)
 
-    @property
-    def dst_count(self) -> int:
-        """dst tokens per batch element; every element of a plan has the same count."""
-        return int(np.count_nonzero(self.dst_mask[0]))
-
     def prefix(self, batch: int) -> "PartitionPlan":
         """The plan of the first `batch` elements, as `make_partition` draws it for that batch."""
         return PartitionPlan(replace(self.shape, batch=batch), self.dst_mask[:batch])
-
-    def packed_masks(self) -> tuple[bytes, ...]:
-        """One packed-bit blob per batch element, for trace storage."""
-        return tuple(np.packbits(self.dst_mask[b]).tobytes() for b in range(self.shape.batch))
 
 
 def expected_dst_count(shape: GridShape, scheme: PartitionScheme) -> int:

@@ -201,17 +201,13 @@ def _max_abs(a: np.ndarray) -> float:
 
 @dataclass
 class BlockTraceRecord:
-    """Instrumentation for one block evaluation at one step (whole batch)."""
+    """What the report reads of one block evaluation at one step (whole batch)."""
 
     step: int
     layer: int
-    n_tokens: int
     eligible: bool
-    r: int
     merged_token_count: int
     similarity_computes: int
-    dst_count: int | None = None
-    dst_masks: tuple[bytes, ...] | None = None
 
 
 class RunTrace:
@@ -231,9 +227,6 @@ class RunTrace:
         self.baseline_step_times: list[float] | None = None
         self.blas_threads = blas_threads
         self.attention_threads = attention_threads
-
-    def add(self, record: BlockTraceRecord) -> None:
-        self.records.append(record)
 
     @property
     def similarity_total(self) -> int:
@@ -425,12 +418,9 @@ class UNetModel:
         values = pass_through(eligible and tome.apply_mlp, lambda t: self._mlp(t, weights))
 
         if trace is not None:
-            record = BlockTraceRecord(step=step, layer=layer, n_tokens=n_tokens, eligible=eligible,
-                                      r=0, merged_token_count=received, similarity_computes=0)
-            if eligible:
-                record.r, record.similarity_computes = plan.r, counted.similarity_calls
-                record.dst_count, record.dst_masks = part.dst_count, part.packed_masks()
-            trace.add(record)
+            trace.records.append(BlockTraceRecord(
+                step=step, layer=layer, eligible=eligible, merged_token_count=received,
+                similarity_computes=counted.similarity_calls if eligible else 0))
         return values
 
     # -- model --------------------------------------------------------------

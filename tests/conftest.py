@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from tomebench import UNetSpec, init_unet
+from tomebench import UNetSpec, init_unet, unet
 from tomebench.flops import FlopCount
 from tomebench.grid import GridShape
 from tomebench.matching import MergePlan
-from tomebench.partition import PartitionPlan
+from tomebench.partition import PartitionPlan, make_partition
 
 
 def hand_plan(mask, height, width):
@@ -23,14 +23,30 @@ def src_indices(plan: PartitionPlan, element: int) -> np.ndarray:
     return np.flatnonzero(~plan.dst_mask[element])
 
 
-def dst_fraction(plan: PartitionPlan) -> float:
-    """dst tokens as a fraction of all tokens, per batch element."""
-    return plan.dst_count / plan.shape.tokens
+def dst_fractions(plan: PartitionPlan) -> np.ndarray:
+    """dst tokens as a fraction of all tokens, one per batch element."""
+    return np.count_nonzero(plan.dst_mask, axis=1) / plan.shape.tokens
 
 
 def kept_src(mplan: MergePlan, plan: PartitionPlan, element: int) -> np.ndarray:
     """Flat indices of one element's src tokens that merge into no dst, ascending."""
     return np.setdiff1d(src_indices(plan, element), mplan.edges[element, :, 0])
+
+
+def capture_partitions(monkeypatch: pytest.MonkeyPatch) -> list[PartitionPlan]:
+    """Every partition a model's blocks draw from now on, in draw order.
+
+    Wraps `tomebench.unet.make_partition`, so a run is observed from outside;
+    the patch lasts as long as `monkeypatch`'s scope.
+    """
+    drawn = []
+
+    def recording(*args, **kwargs):
+        drawn.append(make_partition(*args, **kwargs))
+        return drawn[-1]
+
+    monkeypatch.setattr(unet, "make_partition", recording)
+    return drawn
 
 
 def matmul_total(count: FlopCount) -> int:

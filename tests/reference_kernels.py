@@ -212,20 +212,18 @@ def block(self, values, height, width, prompts, tome, ratio, eligible, step, lay
 
     if trace is not None:
         if not eligible:
-            trace.add(BlockTraceRecord(
-                step=step, layer=layer, n_tokens=n_tokens, eligible=False,
-                r=0, merged_token_count=n_tokens, similarity_computes=0,
+            trace.records.append(BlockTraceRecord(
+                step=step, layer=layer, eligible=False,
+                merged_token_count=n_tokens, similarity_computes=0,
             ))
         elif len(received) != 1:
             raise ShapeError(
                 f"block {layer}: merged components received {sorted(received)} token rows"
             )
         else:
-            trace.add(BlockTraceRecord(
-                step=step, layer=layer, n_tokens=n_tokens, eligible=True,
-                r=plans[0].r, merged_token_count=received.pop(),
-                similarity_computes=1, dst_count=part.dst_count,
-                dst_masks=part.packed_masks(),
+            trace.records.append(BlockTraceRecord(
+                step=step, layer=layer, eligible=True,
+                merged_token_count=received.pop(), similarity_computes=1,
             ))
     return values
 

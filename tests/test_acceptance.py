@@ -34,7 +34,7 @@ from tomebench.partition import PartitionScheme
 from tomebench.rng import StreamRng
 from tomebench.runner import execute_run
 from tomebench.tensor import DTYPE
-from conftest import dst_fraction, kept_src, linear, pairwise, src_indices
+from conftest import capture_partitions, dst_fractions, kept_src, linear, pairwise, src_indices
 from reference_kernels import brute_force_oracle, edge_set
 
 
@@ -60,14 +60,19 @@ def toy_model():
 
 @pytest.fixture(scope="module")
 def fifty_step_run(toy_model):
-    """One 50-step instrumented run at toy scale, shared by criteria 3, 6, 11."""
+    """One 50-step instrumented run at toy scale, shared by criteria 3, 6, 11.
+
+    Also returns the partitions its blocks drew, in draw order.
+    """
     trace = RunTrace()
     schedule = Schedule(50, 0.5, 0.5)
     tome = ToMeConfig(ratio=0.5, seed=0)
-    started = time.perf_counter()
-    denoise(toy_model, make_init_noise(TOY_SPEC, 0), schedule, tome, trace=trace)
-    elapsed = time.perf_counter() - started
-    return trace, schedule, tome, elapsed
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        partitions = capture_partitions(monkeypatch)
+        started = time.perf_counter()
+        denoise(toy_model, make_init_noise(TOY_SPEC, 0), schedule, tome, trace=trace)
+        elapsed = time.perf_counter() - started
+    return trace, schedule, tome, elapsed, partitions
 
 
 def test_criterion_1_matching_oracle_equivalence():
@@ -144,21 +149,22 @@ def test_criterion_2_merge_unmerge_contract():
     _pass(2, "1000 round trips: unmerged exact, merged == ascending-order group mean, equal groups exact")
 
 
-def _check_ledger(trace: RunTrace, schedule: Schedule) -> int:
+def _check_ledger(trace: RunTrace, schedule: Schedule, spec: UNetSpec) -> int:
     checked = 0
+    dims = spec.block_dims()
     for record in trace.records:
         if not record.eligible:
             continue
-        ratio = ratio_at(schedule, record.step)
-        expected = record.n_tokens - math.floor(ratio * record.n_tokens)
+        _, h, w = dims[record.layer]
+        expected = h * w - math.floor(ratio_at(schedule, record.step) * h * w)
         assert record.merged_token_count == expected
         checked += 1
     return checked
 
 
 def test_criterion_3_token_ledger(fifty_step_run, toy_model):
-    trace, schedule, _, _ = fifty_step_run
-    checked = _check_ledger(trace, schedule)
+    trace, schedule, _, _, _ = fifty_step_run
+    checked = _check_ledger(trace, schedule, toy_model.spec)
     assert checked == 2 * 50  # two top-scale blocks per step
 
     # a second instrumented run with a decaying schedule and all scales eligible
@@ -169,7 +175,7 @@ def test_criterion_3_token_ledger(fifty_step_run, toy_model):
     trace2 = RunTrace()
     tome = ToMeConfig(ratio=0.5, ratio_start=0.7, ratio_end=0.3, min_tokens=1, seed=1)
     denoise(model, make_init_noise(small, 1), sched, tome, trace=trace2)
-    checked2 = _check_ledger(trace2, sched)
+    checked2 = _check_ledger(trace2, sched, small)
     assert checked2 == 4 * 9
     _pass(3, f"merged count == N - floor(r*N) on {checked + checked2} instrumented block evaluations")
 
@@ -204,7 +210,7 @@ def test_criterion_4_flop_scaling():
 def test_criterion_5_partition_statistics():
     for sy, sx in ((1, 2), (2, 1), (2, 2), (2, 4), (4, 2), (4, 4)):
         plan = make_partition(GridShape(1, 8, 8), PartitionScheme.strided(sy, sx), StreamRng(0))
-        assert dst_fraction(plan) == 1.0 / (sy * sx)
+        assert dst_fractions(plan).tolist() == [1.0 / (sy * sx)]
     for seed in range(100):
         plan = make_partition(GridShape(1, 8, 8), PartitionScheme.rand_tile(2, 2), StreamRng(seed))
         field = plan.dst_mask[0].reshape(8, 8)
@@ -216,13 +222,12 @@ def test_criterion_5_partition_statistics():
 
 def test_criterion_6_batch_fix_semantics(fifty_step_run, toy_model):
     started = time.perf_counter()
-    trace, _, _, fifty_elapsed = fifty_step_run
+    trace, _, _, fifty_elapsed, partitions = fifty_step_run
 
-    eligible = trace.eligible_records()
-    assert len(eligible) == 2 * 50
-    for record in eligible:
-        assert record.dst_masks is not None
-        assert len(set(record.dst_masks)) == 1  # guidance pair shares every mask
+    assert len(trace.eligible_records()) == len(partitions) == 2 * 50
+    for part in partitions:
+        assert part.shape.batch == 2
+        assert (part.dst_mask == part.dst_mask[0]).all()  # guidance pair shares every mask
 
     schedule = Schedule(4, 0.5, 0.5)
     fixed_errs, unfixed_errs = [], []
@@ -302,7 +307,7 @@ def test_criterion_10_cli_determinism(tmp_path):
 
 
 def test_criterion_11_single_similarity_per_block(fifty_step_run):
-    trace, _, _, _ = fifty_step_run
+    trace, _, _, _, _ = fifty_step_run
     assert trace.similarity_total == 2 * 50  # two eligible blocks, fifty steps
 
     small = UNetSpec(scales=((8, 8, 2), (4, 4, 2)), channels=16, heads=4,

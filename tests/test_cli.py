@@ -6,6 +6,7 @@ import pytest
 
 from tomebench.cli import main
 from tomebench.matching import build_merge_plan
+from tomebench.partition import PARTITION_SYNTAX
 
 from test_viz import parse_p3
 
@@ -15,11 +16,6 @@ BASE = [
 
 # Settings stored under another name than the key a user writes; errors name the key.
 KEY_OF_SETTING = {"guidance_scale": "guidance"}
-
-
-def run_cli(args, capsys=None):
-    code = main(args)
-    return code
 
 
 @pytest.fixture
@@ -267,6 +263,20 @@ class TestExitCodes:
         command, *flags = argv.split()
         assert main([command, "--latent", "8x8", "--steps", "1", *flags, "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith(f"configuration error: field '{field}':")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("partition,reason", [
+        ("strided:0x2", "strides must be >= 1, got 0x2"),
+        ("randtile:0x2", "tile dims must be >= 1, got 0x2"),
+    ])
+    def test_bad_partition_values_keep_the_reason(self, tmp_path, capsys, no_compute,
+                                                  partition, reason):
+        out = tmp_path / "x"
+        assert main(["run", "--latent", "8x8", "--steps", "1", "--partition", partition,
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: field 'partition':")
+        assert partition in err and reason in err and PARTITION_SYNTAX in err
         assert not out.exists()
 
     def test_one_step_run_checks_only_its_start_ratio(self, tmp_path):

@@ -15,6 +15,8 @@ from tomebench.grid import GridShape, TokenGrid
 from tomebench.partition import PartitionScheme
 from tomebench.tensor import DTYPE, ShapeError
 
+from conftest import capture_partitions
+
 
 class TestSchedule:
     def test_start_value(self):
@@ -96,29 +98,30 @@ class TestDenoise:
 
 
 class TestBatchFix:
-    def test_masks_identical_when_fixed(self, tiny_model):
-        trace = RunTrace()
+    def test_masks_identical_when_fixed(self, tiny_model, monkeypatch):
+        partitions = capture_partitions(monkeypatch)
         noise = make_init_noise(tiny_model.spec, 2)
         tome = ToMeConfig(ratio=0.5, partition=PartitionScheme.rand_tile(2, 2), seed=2)
-        denoise(tiny_model, noise, Schedule(5, 0.5, 0.5), tome, trace=trace)
-        eligible = trace.eligible_records()
-        assert eligible
-        for record in eligible:
-            assert record.dst_masks is not None
-            assert len(set(record.dst_masks)) == 1  # identical across the guidance pair
+        denoise(tiny_model, noise, Schedule(5, 0.5, 0.5), tome)
+        assert len(partitions) == 2 * 5  # two top-scale blocks per step
+        for part in partitions:
+            assert part.shape.batch == 2
+            assert (part.dst_mask == part.dst_mask[0]).all()  # identical across the guidance pair
 
-    def test_masks_differ_without_fix(self, tiny_model):
+    def test_masks_differ_without_fix(self, tiny_model, monkeypatch):
+        partitions = capture_partitions(monkeypatch)
         differing_seeds = 0
         for seed in range(8):
-            trace = RunTrace()
+            partitions.clear()
             noise = make_init_noise(tiny_model.spec, seed)
             tome = ToMeConfig(
                 ratio=0.5,
                 partition=PartitionScheme.random(0.25, batch_fix=False),
                 seed=seed,
             )
-            denoise(tiny_model, noise, Schedule(2, 0.5, 0.5), tome, trace=trace)
-            if any(len(set(r.dst_masks)) > 1 for r in trace.eligible_records()):
+            denoise(tiny_model, noise, Schedule(2, 0.5, 0.5), tome)
+            assert len(partitions) == 2 * 2
+            if any((part.dst_mask != part.dst_mask[0]).any() for part in partitions):
                 differing_seeds += 1
         assert differing_seeds >= 7
 

@@ -135,7 +135,7 @@ def merge_cases(draw):
     except PartitionError:
         assume(False)
     n = height * width
-    src = n - part.dst_count
+    src = int(np.count_nonzero(~part.dst_mask, axis=1).min())
     r = draw(st.integers(0, src))
     channels = draw(st.integers(1, 5))
     x = draw(arrays(DTYPE, (batch * n, channels), elements=finite32))

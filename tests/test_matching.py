@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -138,6 +140,23 @@ class TestBuildMergePlan:
             build_merge_plan(np.ones((1, 5, 2), DTYPE), plan, 0.5)
         with pytest.raises(ShapeError):
             build_merge_plan(np.ones((4, 2), DTYPE), plan, 0.5)  # no batch axis
+
+    def test_peak_memory_holds_one_similarity_matrix(self, nprng):
+        """At 64x64, batch 2, the plan's traced peak stays near its (2, 3072, 1024) similarity.
+
+        The similarity is clipped where the product wrote it, with no second copy.
+        """
+        part = make_partition(GridShape(2, 64, 64), PartitionScheme.rand_tile(2, 2), StreamRng(0))
+        x = nprng.standard_normal((2, 64 * 64, 64)).astype(DTYPE)
+        n_dst = int(np.count_nonzero(part.dst_mask[0]))
+        sims_bytes = 2 * (64 * 64 - n_dst) * n_dst * np.dtype(DTYPE).itemsize
+        tracemalloc.start()
+        try:
+            build_merge_plan(x, part, 0.5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * sims_bytes
 
 
 class TestOracle:

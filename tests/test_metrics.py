@@ -50,8 +50,9 @@ class TestAggregate:
         harness = small_harness(ratio=0.5)
         output = execute_run(harness)
         trace = output.trace
-        trace.add(BlockTraceRecord(step=99, layer=0, n_tokens=64, eligible=False,
-                                   r=0, merged_token_count=64, similarity_computes=0))
+        _, h, w = build_spec(harness).block_dims()[0]
+        trace.records.append(BlockTraceRecord(step=99, layer=0, eligible=False,
+                                              merged_token_count=h * w, similarity_computes=0))
         with pytest.raises(AggregationError, match="mixed"):
             aggregate(harness, trace)
 

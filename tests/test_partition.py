@@ -14,7 +14,7 @@ from tomebench.partition import (
     make_partition,
 )
 from tomebench.rng import StreamRng
-from conftest import dst_fraction, dst_indices, src_indices
+from conftest import dst_fractions, dst_indices, src_indices
 
 RNG = StreamRng(0)
 
@@ -32,8 +32,8 @@ class TestSchemes:
 
     def test_strided_2x2_on_4x4(self):
         plan = make_partition(GridShape(1, 4, 4), PartitionScheme.strided(2, 2), RNG)
-        assert plan.dst_count == 4
-        assert dst_fraction(plan) == 0.25
+        assert np.count_nonzero(plan.dst_mask, axis=1).tolist() == [4]
+        assert dst_fractions(plan).tolist() == [0.25]
         ys, xs = np.divmod(dst_indices(plan, 0), 4)
         assert set(zip(ys, xs)) == {(0, 0), (0, 2), (2, 0), (2, 2)}
 
@@ -42,12 +42,12 @@ class TestSchemes:
     ])
     def test_strided_fractions_on_8x8(self, sy, sx, frac):
         plan = make_partition(GridShape(1, 8, 8), PartitionScheme.strided(sy, sx), RNG)
-        assert dst_fraction(plan) == frac
+        assert dst_fractions(plan).tolist() == [frac]
 
     def test_rand_tile_one_per_tile(self):
         scheme = PartitionScheme.rand_tile(2, 2)
         plan = make_partition(GridShape(1, 4, 4), scheme, RNG)
-        assert plan.dst_count == 4
+        assert np.count_nonzero(plan.dst_mask, axis=1).tolist() == [4]
         field = plan.dst_mask[0].reshape(4, 4)
         for y0 in range(0, 4, 2):
             for x0 in range(0, 4, 2):
@@ -56,16 +56,16 @@ class TestSchemes:
     def test_rand_tile_edge_tiles(self):
         # 5x5 grid with 2x2 tiles: 3x3 tile grid, edge tiles smaller but still one dst
         plan = make_partition(GridShape(1, 5, 5), PartitionScheme.rand_tile(2, 2), RNG)
-        assert plan.dst_count == 9
+        assert np.count_nonzero(plan.dst_mask, axis=1).tolist() == [9]
 
     def test_random_count(self):
         plan = make_partition(GridShape(1, 4, 4), PartitionScheme.random(0.25), RNG)
-        assert plan.dst_count == 4
+        assert np.count_nonzero(plan.dst_mask, axis=1).tolist() == [4]
 
     def test_random_rounds_ties_to_even(self):
         # 0.25 * 10 = 2.5 -> 2 under banker's rounding
         plan = make_partition(GridShape(1, 2, 5), PartitionScheme.random(0.25), RNG)
-        assert plan.dst_count == 2
+        assert np.count_nonzero(plan.dst_mask, axis=1).tolist() == [2]
 
 
 class TestBatchFix:
@@ -105,7 +105,7 @@ class TestProperties:
     def test_rand_tile_count_over_seeds(self):
         for seed in range(50):
             plan = make_partition(GridShape(1, 8, 8), PartitionScheme.rand_tile(2, 2), StreamRng(seed))
-            assert plan.dst_count == 16
+            assert np.count_nonzero(plan.dst_mask, axis=1).tolist() == [16]
 
     def test_deterministic_in_inputs(self):
         scheme = PartitionScheme.random(0.4)
@@ -114,11 +114,14 @@ class TestProperties:
         assert np.array_equal(a.dst_mask, b.dst_mask)
 
     def test_expected_dst_count_matches(self):
-        shape = GridShape(1, 6, 8)
+        shape = GridShape(2, 6, 8)
         for scheme in (PartitionScheme.alternating(), PartitionScheme.strided(2, 2),
-                       PartitionScheme.random(0.3), PartitionScheme.rand_tile(2, 2)):
+                       PartitionScheme.random(0.3), PartitionScheme.rand_tile(2, 2),
+                       PartitionScheme.random(0.3, batch_fix=False),
+                       PartitionScheme.rand_tile(2, 2, batch_fix=False)):
             plan = make_partition(shape, scheme, StreamRng(1))
-            assert plan.dst_count == expected_dst_count(shape, scheme)
+            counts = np.count_nonzero(plan.dst_mask, axis=1)
+            assert counts.tolist() == [expected_dst_count(shape, scheme)] * 2
 
 
 class TestErrors:

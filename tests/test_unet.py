@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -71,9 +73,11 @@ class TestForward:
         tiny_model.forward(grid, prompts_for(tiny_model, 1), tome=tome, trace=trace)
         eligible_layers = {r.layer for r in trace.eligible_records()}
         assert eligible_layers == {0, 1}  # the two top-scale blocks
+        dims = tiny_model.spec.block_dims()
         for record in trace.records:
             if not record.eligible:
-                assert record.merged_token_count == record.n_tokens
+                _, h, w = dims[record.layer]
+                assert record.merged_token_count == h * w
 
     def test_batch_elements_independent_with_batch_fix(self, tiny_model):
         a = grid_for(tiny_model.spec, 1, seed=1)
@@ -125,10 +129,11 @@ class TestBlockMerging:
         grid = grid_for(tiny_model.spec, 1)
         tome = ToMeConfig(ratio=0.5, min_tokens=1, seed=0)
         tiny_model.forward(grid, prompts_for(tiny_model, 1), tome=tome, trace=trace)
+        assert len(trace.eligible_records()) == len(tiny_model.blocks)
+        dims = tiny_model.spec.block_dims()
         for record in trace.eligible_records():
-            n = record.n_tokens
-            assert record.r == int(0.5 * n)
-            assert record.merged_token_count == n - record.r
+            _, h, w = dims[record.layer]
+            assert record.merged_token_count == h * w - math.floor(0.5 * h * w)
 
     def test_no_ratio_merges_at_the_step_0_ratio(self):
         # the schedule's start ratio (0.1 of 64 tokens: r = 6), not `ratio` (r = 32)
@@ -137,7 +142,8 @@ class TestBlockMerging:
         tome = ToMeConfig(ratio=0.5, ratio_start=0.1, ratio_end=0.1, min_tokens=1)
         trace = RunTrace()
         model.forward(grid_for(spec, 1), model.prompt_embedding, tome=tome, trace=trace)
-        assert [r.r for r in trace.records] == [6]
+        [(_, h, w)] = spec.block_dims()
+        assert [r.merged_token_count for r in trace.records] == [h * w - math.floor(0.1 * h * w)]
 
     @pytest.mark.parametrize("side,seed", [(2, 5), (4, 6)])
     def test_identical_tokens_match_plain_forward(self, side, seed):
@@ -163,9 +169,8 @@ class TestBlockMerging:
         trace = RunTrace()
         out = model.forward(grid, model.prompt_embedding, tome=tome, trace=trace)
         assert out.values.shape == (1, 4096, 64)
-        record = trace.records[0]
-        assert record.r == 2048
-        assert record.merged_token_count == 2048
+        [(_, h, w)] = spec.block_dims()
+        assert trace.records[0].merged_token_count == h * w - math.floor(0.5 * h * w) == 2048
 
     def test_uniform_attention_over_equal_logits(self):
         # hand check behind the identical-token case: equal logits -> 1/n weights
