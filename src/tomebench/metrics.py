@@ -196,7 +196,8 @@ def timing_dict(trace: RunTrace) -> dict:
     The baseline's steps are null when the run reused a baseline or needed
     none. The BLAS thread count is the one the run computed with, read inside
     `execute_run`; it is null where it could not be read. The attention
-    thread count is the threads the run's row-block attention computed on.
+    thread count is the threads the run's large attention, layernorm and MLP
+    calls computed on (`unet.attention_threads`).
     """
     baseline = trace.baseline_step_times
     return {

@@ -1,7 +1,7 @@
 """Minimal dense float32 kernel: matmul, row softmax, row layernorm.
 
-All public operations are pure (inputs are never mutated; `softmax_rows`
-writes only into an `out` array its caller passes) and deterministic:
+All public operations are pure (inputs are never mutated; an op writes
+only into the `out` array its caller passes, if any) and deterministic:
 repeated evaluation on the same inputs is bit-identical. `matmul` and
 `softmax_rows` accept stacked operands: `matmul` multiplies `(..., n, k) @
 (..., k, m)` matrix by matrix, and `softmax_rows` normalizes along the last
@@ -97,13 +97,14 @@ def _check_finite(a: np.ndarray, op: str) -> np.ndarray:
     return a
 
 
-def matmul(a, b, check: bool = True) -> np.ndarray:
+def matmul(a, b, check: bool = True, out: np.ndarray | None = None) -> np.ndarray:
     """Matrix product a @ b with a shape check and finite output.
 
     Stacked operands `(..., n, k) @ (..., k, m)` must have equal stack shapes
     (no broadcasting); each matrix of the stack is one product. `check=False`
     skips the finite check, for a caller that has bounded the product below
-    float32 max itself.
+    float32 max itself. The product goes into a new array, or into `out`
+    when given (a float32 array of the product's shape).
     """
     a = as_stack(a, "a")
     b = as_stack(b, "b")
@@ -113,7 +114,7 @@ def matmul(a, b, check: bool = True) -> np.ndarray:
             f"{'x'.join(map(str, b.shape))}"
         )
     with np.errstate(over="ignore", invalid="ignore"):
-        out = a @ b
+        out = np.matmul(a, b, out=out)
     if _active_counters:
         add_counts(matmul=2 * a.size * b.shape[-1])
     return _check_finite(out, "matmul") if check else out
@@ -139,12 +140,13 @@ def softmax_rows(a, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def layernorm_rows(a, eps: float = 1e-5) -> np.ndarray:
+def layernorm_rows(a, eps: float = 1e-5, out: np.ndarray | None = None) -> np.ndarray:
     """Normalize each row to mean 0, variance 1 (no affine), eps in the denominator.
 
     Moments are taken in double precision so constant rows come out exactly
     zero and the centering is free of float32 cancellation noise; the result
-    is cast back to float32.
+    is cast back to float32, into a new array or into `out` when given (a
+    float32 array of `a`'s shape).
     """
     a = as_matrix(a)
     if a.shape[1] < 2:
@@ -153,7 +155,9 @@ def layernorm_rows(a, eps: float = 1e-5) -> np.ndarray:
     centered -= centered.mean(axis=1, keepdims=True)
     var = np.mean(np.square(centered), axis=1, keepdims=True)
     # Divides in double precision and rounds once into the float32 result.
-    out = np.divide(centered, np.sqrt(var + eps), out=np.empty(a.shape, DTYPE))
+    if out is None:
+        out = np.empty(a.shape, DTYPE)
+    np.divide(centered, np.sqrt(var + eps), out=out)
     return _check_finite(out, "layernorm_rows")
 
 

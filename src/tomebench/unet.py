@@ -17,12 +17,13 @@ prompt tokens are never merged.
 A block evaluates each component once on the whole guidance batch, and
 attention serves every (element, head) pair in a few stacked products whose
 logits are tiled to at most `TILE` elements (`attention_tiles`); the bytes
-equal a loop over elements and heads. When a pair's logits split into row
-blocks and OpenBLAS runs on one thread, one helper thread computes the
-second half of the tiles (`attention_threads`); every tile issues the same
-products, so the bytes do not change. A latent the guidance elements share
-is evaluated once up to the first component that reads the prompt, block
-0's cross-attention, since every element would compute the same bytes there.
+equal a loop over elements and heads. When OpenBLAS runs on one thread, one
+helper thread computes the second half of a large attention call's tiles,
+and of a large layernorm or MLP call's rows (`attention_threads`,
+`_in_two_halves`); every tile and row issues the same products, so the
+bytes do not change. A latent the guidance elements share is evaluated once
+up to the first component that reads the prompt, block 0's cross-attention,
+since every element would compute the same bytes there.
 
 `merged_token_counts` is the single home of the merge policy: which blocks
 merge at a given ratio, and how many tokens their merged components evaluate.
@@ -36,8 +37,9 @@ from __future__ import annotations
 import functools
 import math
 import os
+import threading
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -60,6 +62,20 @@ WEIGHT_STD = 0.02
 TILE = 2**18
 
 FLOAT32_MAX = float(np.finfo(DTYPE).max)
+
+# Size rules of the two-thread split (README, "Attention kernel"), chosen on a
+# 2-vCPU machine: splitting every attention call of two or more tiles made the
+# 24-run 16x16 sweep take 13% more wall time and about 20% more CPU time, while
+# these rules leave every 16x16 call on the caller and cut the median merged
+# 32x32 step by 8-16% (BENCH_merged_two_threads.json).
+# An attention call splits from 4 * TILE logits: the merged 512-token
+# self-attention of 4 or 8 (element, head) pairs and every larger call.
+SPLIT_LOGITS = 4 * TILE
+# A layernorm or MLP call splits from 2**17 input elements (the 2048 stacked
+# 64-channel rows of a 32x32 guidance pair), and only where each half keeps
+# SPLIT_MIN_ROWS rows: shorter blocks go to another BLAS kernel, whose bits differ.
+SPLIT_ROW_ELEMENTS = 2**17
+SPLIT_MIN_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -169,30 +185,82 @@ def _usable_cpus() -> int:
 
 
 def attention_threads() -> int:
-    """The threads a row-block attention call computes on now: 2 or 1.
+    """The threads a large attention, layernorm or MLP call computes on now: 2 or 1.
 
     Two when OpenBLAS computes on one thread and the process may run on two
-    or more CPUs: the caller and `_row_block_helper` then each compute half
-    of the call's tiles. Whole-pair tiles always stay on the caller: the
-    lock hand-offs of a split cost small products more CPU time than they
-    save wall time (README, "Attention kernel").
+    or more CPUs: the caller and `_helper_thread` then each compute half of
+    a call that passes its size rule (`SPLIT_LOGITS`, `SPLIT_ROW_ELEMENTS`).
+    Smaller calls always stay on the caller: the lock hand-offs of a split
+    cost small products more CPU time than they save wall time (README,
+    "Attention kernel").
     """
     return 2 if blas_threads() == 1 and _usable_cpus() >= 2 else 1
 
 
+_on_helper = threading.local()  # `.active` is True on the helper thread only
+
+
+def _mark_helper() -> None:
+    _on_helper.active = True
+
+
 @functools.cache
-def _row_block_helper() -> ThreadPoolExecutor:
-    """The one long-lived helper thread of row-block attention, started on first use."""
+def _helper_thread() -> ThreadPoolExecutor:
+    """The one long-lived helper thread of large kernels, started on first use."""
     # Imported here: concurrent.futures takes about 6 ms to import (it pulls in
-    # logging), which runs that never split a row block need not pay.
+    # logging), which runs that never split a call need not pay.
     from concurrent.futures import ThreadPoolExecutor
 
-    return ThreadPoolExecutor(max_workers=1, thread_name_prefix="tomebench-attention")
+    return ThreadPoolExecutor(max_workers=1, thread_name_prefix="tomebench-helper",
+                              initializer=_mark_helper)
 
 
 # A forked child has no helper thread, so it must start its own.
 if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_row_block_helper.cache_clear)
+    os.register_at_fork(after_in_child=_helper_thread.cache_clear)
+
+
+def _in_two_halves(count: int, run: Callable[[int, int], None]) -> None:
+    """run(0, count), or run(0, half) on the caller and run(half, count) on the helper.
+
+    For a call that passed its size rule. The work splits when it holds two
+    or more parts, `attention_threads()` reads 2 and the caller is not the
+    helper itself (a one-worker pool waiting on itself would deadlock). `run`
+    must write each part's results apart from the other's. The caller waits
+    for the helper before it returns or raises; if both halves raise, the
+    caller's error wins, as the serial loop would have raised it first.
+    """
+    if count < 2 or getattr(_on_helper, "active", False) or attention_threads() == 1:
+        run(0, count)
+        return
+    half = (count + 1) // 2
+    helper = _helper_thread().submit(run, half, count)
+    try:
+        run(0, half)
+    finally:
+        helper_error = helper.exception()  # waits, also when the caller's half raised
+    if helper_error is not None:
+        raise helper_error
+
+
+def _rowwise(kernel, rows: np.ndarray, columns: int) -> np.ndarray:
+    """kernel(rows, out) -> out over (count, channels) rows, out a (count, columns) array.
+
+    A small call passes out=None and the kernel allocates it. Row halves of
+    a large one (`SPLIT_ROW_ELEMENTS`) may split across the two threads; a
+    row-wise kernel writes the same bytes per row for any block of at least
+    `SPLIT_MIN_ROWS` rows.
+    """
+    count = rows.shape[0]
+    if rows.size < SPLIT_ROW_ELEMENTS or count < 2 * SPLIT_MIN_ROWS:
+        return kernel(rows, None)
+    out = np.empty((count, columns), DTYPE)
+    _in_two_halves(count, lambda lo, hi: kernel(rows[lo:hi], out[lo:hi]))
+    return out
+
+
+def _layernorm(rows: np.ndarray) -> np.ndarray:
+    return _rowwise(lambda a, out: layernorm_rows(a, out=out), rows, rows.shape[1])
 
 
 def _max_abs(a: np.ndarray) -> float:
@@ -216,8 +284,9 @@ class RunTrace:
     `baseline_step_times` holds the wall time of each step of the baseline
     denoise the run computed, and stays None when the run computed none.
     `blas_threads` is the OpenBLAS thread count the run computed with, None
-    where it was not read; `attention_threads` the threads its row-block
-    attention computed on (see `attention_threads`), None where not read.
+    where it was not read; `attention_threads` the threads its large
+    attention, layernorm and MLP calls computed on (see `attention_threads`),
+    None where not read.
     """
 
     def __init__(self, blas_threads: int | None = None, attention_threads: int | None = None):
@@ -287,10 +356,22 @@ class UNetModel:
         `q_in` is (batch, n, channels) and `kv_in` (batch, m, channels); the
         result is (batch, n, channels). Projections run once over all rows,
         and the (element, head) pairs share their logits products in tiles
-        of at most `TILE` elements (see `attention_tiles`). Row-block tiles
-        may split between the caller and a helper thread (see
-        `attention_threads`); the caller waits for the helper before it
-        returns or raises.
+        of at most `TILE` elements (see `attention_tiles`). A call of at
+        least `SPLIT_LOGITS` logits may split its tiles between the caller
+        and the helper thread (see `_in_two_halves`).
+
+        A product needs no finite check of its own where a bound rules
+        overflow out; q, k and v are finite, since their projections were
+        checked. With u = 2**-24 the float32 unit roundoff and g(k) = k*u /
+        (1 - k*u), a float32 dot product of k terms lies within g(k) * sum
+        |terms| of the exact one, in any summation order. Logits: at most
+        dh * max|q| * max|k| * (1 + dh * 2**-23). Probabilities times values:
+        a row's exps e <= 1 have a float32 sum s >= (1 - g(m)) * sum(e), and
+        each probability is fl(e / s) <= (1 + u) * e / s, so a row of
+        probabilities sums to at most (1 + u) / (1 - g(m)); the product is at
+        most (1 + g(m)) times max|v| times that sum, which simplifies to
+        max|v| * (1 + 2**-24) / (1 - m * 2**-23). Below float32 max, no
+        result can be +-inf or NaN, and the tiles skip that product's check.
         """
         batch, n, channels = q_in.shape
         m = kv_in.shape[1]
@@ -310,33 +391,26 @@ class UNetModel:
         kt = np.ascontiguousarray(split_heads(kv_in, wk).swapaxes(2, 3)).reshape(pairs, dh, m)
         v = split_heads(kv_in, wv).reshape(pairs, m, dh)
         out = np.empty((pairs, n, dh), DTYPE)
-        # q and k are finite (their projections were checked), so no logit exceeds
-        # dh * max|q| * max|k| by more than float32 rounding, 1 + dh * 2**-23. Below
-        # float32 max no logit can be +-inf or NaN, and no tile needs its own check.
-        bound = dh * _max_abs(q) * _max_abs(kt) * (1.0 + dh * 2.0**-23)
-        check = not bound < FLOAT32_MAX
+        logits_bound = dh * _max_abs(q) * _max_abs(kt) * (1.0 + dh * 2.0**-23)
+        values_bound = (_max_abs(v) * (1.0 + 2.0**-24) / (1.0 - m * 2.0**-23)
+                        if m < 2**23 else math.inf)
+        check_logits = not logits_bound < FLOAT32_MAX
+        check_values = not values_bound < FLOAT32_MAX
 
         def compute(tiles):
             for group, rows in tiles:
-                logits = matmul(q[group, rows], kt[group], check=check)
+                logits = matmul(q[group, rows], kt[group], check=check_logits)
                 logits *= scale  # matmul returned a fresh array, so both steps work in place
-                out[group, rows] = matmul(softmax_rows(logits, out=logits), v[group])
+                matmul(softmax_rows(logits, out=logits), v[group], check=check_values,
+                       out=out[group, rows])
 
+        # Tiles write disjoint parts of `out`; the serial loop would raise at the
+        # first bad tile, which is in the caller's half if both halves hold one.
         tiles = attention_tiles(pairs, n, m)
-        if n * m <= TILE or attention_threads() == 1:
+        if pairs * n * m < SPLIT_LOGITS:
             compute(tiles)
         else:
-            # Row blocks of one pair write disjoint rows of `out`; the serial loop
-            # would raise at the first bad tile, which is in the caller's half if
-            # both halves hold one.
-            half = (len(tiles) + 1) // 2
-            helper = _row_block_helper().submit(compute, tiles[half:])
-            try:
-                compute(tiles[:half])
-            finally:
-                helper_error = helper.exception()  # waits, also when the caller's half raised
-            if helper_error is not None:
-                raise helper_error
+            _in_two_halves(len(tiles), lambda lo, hi: compute(tiles[lo:hi]))
         out = out.reshape(batch, heads, n, dh).transpose(0, 2, 1, 3)
         return matmul(out.reshape(batch * n, channels), wo).reshape(batch, n, channels)
 
@@ -347,8 +421,11 @@ class UNetModel:
         return self._attention(tokens, prompt, w.cross_q, w.cross_k, w.cross_v, w.cross_o)
 
     def _mlp(self, tokens, w: BlockWeights) -> np.ndarray:
+        def kernel(rows, out):
+            return matmul(_gelu(matmul(rows, w.mlp_in)), w.mlp_out, out=out)
+
         rows = tokens.reshape(-1, tokens.shape[-1])
-        return matmul(_gelu(matmul(rows, w.mlp_in)), w.mlp_out).reshape(tokens.shape)
+        return _rowwise(kernel, rows, w.mlp_out.shape[1]).reshape(tokens.shape)
 
     # -- block --------------------------------------------------------------
 
@@ -398,7 +475,7 @@ class UNetModel:
             # the stacked (elements * rows, channels) rows.
             nonlocal received
             elements = values.shape[0]
-            normed = layernorm_rows(values.reshape(elements * n_tokens, channels))
+            normed = _layernorm(values.reshape(elements * n_tokens, channels))
             if not merge:
                 return values + component(normed.reshape(values.shape))
             reduced = reduce_tokens(normed, plan.grouping, mode)
@@ -488,7 +565,7 @@ class UNetModel:
             h = h + skips[si]
 
         batch, n_tokens, channels = h.shape
-        out = layernorm_rows(h.reshape(batch * n_tokens, channels)).reshape(h.shape)
+        out = _layernorm(h.reshape(batch * n_tokens, channels)).reshape(h.shape)
         return TokenGrid(GridShape(batch, top_h, top_w), out)
 
 

@@ -1,13 +1,14 @@
 """Reference kernels: the straightforward allocate-per-operation versions.
 
 These are the earlier implementations of the step's elementwise kernels, the
-per-element block loop and per-head attention, the per-element merge planner
-with its token grouping and merge, and the rand-tile draw, kept unchanged so
-tests can assert that the allocation-lean and batched versions in
-`tomebench` produce the same bytes. `brute_force_oracle` re-derives a plan by
-exhaustive greedy enumeration over all src->dst edges; it shares the cosine
-metric (which has its own directly-verified contract) but none of the
-selection code. Nothing in `src/` imports this module.
+per-element block loop, per-head attention and the one-product MLP, the
+per-element merge planner with its token grouping and merge, and the
+rand-tile draw, kept unchanged so tests can assert that the allocation-lean
+and batched versions in `tomebench` produce the same bytes.
+`brute_force_oracle` re-derives a plan by exhaustive greedy enumeration over
+all src->dst edges; it shares the cosine metric (which has its own
+directly-verified contract) but none of the selection code. Nothing in
+`src/` imports this module.
 """
 
 from __future__ import annotations
@@ -169,6 +170,11 @@ def attention(self, q_in, kv_in, wq, wk, wv, wo) -> np.ndarray:
         logits = matmul(q[:, cols], np.ascontiguousarray(k[:, cols].T)) * scale
         outs.append(matmul(softmax_rows(logits), v[:, cols]))
     return matmul(np.concatenate(outs, axis=1), wo)
+
+
+def mlp(self, tokens, w) -> np.ndarray:
+    """`UNetModel._mlp` on one element's (n, channels) rows, in one product per weight."""
+    return matmul(gelu(matmul(tokens, w.mlp_in)), w.mlp_out)
 
 
 def block(self, values, height, width, prompts, tome, ratio, eligible, step, layer, trace):

@@ -234,9 +234,9 @@ class TestRandTileDraw:
 
 def patch_reference_kernels(monkeypatch):
     monkeypatch.setattr(unet, "softmax_rows", ref.softmax_rows)
-    monkeypatch.setattr(unet, "layernorm_rows", ref.layernorm_rows)
-    monkeypatch.setattr(unet, "_gelu", ref.gelu)
+    monkeypatch.setattr(unet, "_layernorm", ref.layernorm_rows)
     monkeypatch.setattr(unet.UNetModel, "_attention", ref.attention)
+    monkeypatch.setattr(unet.UNetModel, "_mlp", ref.mlp)
     monkeypatch.setattr(unet.UNetModel, "_block", ref.block)
     monkeypatch.setattr(partition, "_rand_tile_mask", ref.rand_tile_mask)
 
