@@ -167,9 +167,8 @@ def build_merge_plan(x, plan: PartitionPlan, ratio: float) -> MergePlan:
     best_pos = sims.argmax(axis=-1)  # first max: lowest dst flat index on ties
     best_sim = np.take_along_axis(sims, best_pos[..., None], axis=-1)[..., 0]
 
-    # Primary key: similarity descending; secondary: src flat index ascending.
-    ties = np.broadcast_to(np.arange(n_src), best_sim.shape)
-    order = np.lexsort((ties, -best_sim), axis=-1)
+    # Similarity descending; the stable sort keeps ties in ascending src flat index.
+    order = np.argsort(-best_sim, axis=-1, kind="stable")
     chosen = np.sort(order[:, :r], axis=-1)
 
     edges = np.stack([src_idx[rows, chosen], dst_idx[rows, best_pos[rows, chosen]]], axis=-1)

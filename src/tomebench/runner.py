@@ -7,13 +7,11 @@ import json
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-import numpy as np
-
 from .config import ConfigError, HarnessConfig, config_dict, harness_from_mapping
 from .diffusion import (GUIDANCE_BATCH, ErrorMetrics, build_schedule, compare_to_baseline,
                         denoise, make_init_noise, peak_step, ratio_at)
 from .grid import GridShape, TokenGrid
-from .matching import build_merge_plan, export_edge_list, tokens_to_remove
+from .matching import export_edge_list, tokens_to_remove
 from .metrics import RunReport, aggregate, sweep_csv, timing_dict
 from .partition import PartitionScheme, expected_dst_count, make_partition
 from .rng import StreamRng
@@ -136,27 +134,26 @@ def execute_run(harness: HarnessConfig, model: UNetModel | None = None,
     return RunOutput(harness, report, final, baseline_final, trace)
 
 
-def _write_viz(harness: HarnessConfig, out_dir: Path) -> list[Path]:
-    """Render the top-scale partition masks, and a step-0 merge map where block 0 merges."""
-    spec = build_spec(harness)
-    tome = harness.tome
-    h, w, _ = spec.scales[0]
-    shape = GridShape(GUIDANCE_BATCH, h, w)
-    plan = make_partition(shape, tome.partition, StreamRng(tome.seed), 0, 0)
-    paths = write_partition_ppms(plan, out_dir)
+def _write_viz(output: RunOutput, out_dir: Path) -> list[Path]:
+    """Render block 0's step-0 partition masks, and its merge map where it merged.
 
-    noise = make_init_noise(spec, tome.seed)
-    ratio = tome.schedule_endpoints()[0]
-    if merged_token_counts(spec, tome, ratio)[0] is not None:
-        pair = np.concatenate([noise.values] * GUIDANCE_BATCH)  # the pair `plan` was drawn for
-        with single_blas_thread():
-            mplan = build_merge_plan(pair, plan, ratio)
-        path = out_dir / "merge_map_step0.ppm"
-        path.write_bytes(merge_map_to_ppm(mplan, h, w))
-        paths.append(path)
-        edges_path = out_dir / "merge_edges_step0.txt"
-        edges_path.write_text(export_edge_list(mplan))
-        paths.append(edges_path)
+    Both come from the plans the run built (`RunTrace.first_plan`). Where
+    block 0 did not merge at step 0, the masks are the ones it would draw.
+    """
+    if output.trace.first_plan is None:
+        tome = output.harness.tome
+        h, w, _ = build_spec(output.harness).scales[0]
+        part = make_partition(GridShape(GUIDANCE_BATCH, h, w), tome.partition,
+                              StreamRng(tome.seed), 0, 0)
+        return write_partition_ppms(part, out_dir)
+    part, mplan = output.trace.first_plan
+    paths = write_partition_ppms(part, out_dir)
+    path = out_dir / "merge_map_step0.ppm"
+    path.write_bytes(merge_map_to_ppm(mplan, part.shape.height, part.shape.width))
+    paths.append(path)
+    edges_path = out_dir / "merge_edges_step0.txt"
+    edges_path.write_text(export_edge_list(mplan))
+    paths.append(edges_path)
     return paths
 
 
@@ -179,7 +176,7 @@ def write_run_artifacts(output: RunOutput, out_dir: str | Path) -> dict[str, Pat
     written["timing"] = timing_path
 
     if output.harness.viz_partition:
-        for path in _write_viz(output.harness, out_dir):
+        for path in _write_viz(output, out_dir):
             written[path.name] = path
     return written
 

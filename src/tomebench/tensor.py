@@ -25,10 +25,12 @@ import numpy as np
 DTYPE = np.float32
 
 
-# Thread-count getters and setters of the scipy-openblas build numpy wheels
-# ship, and of a system OpenBLAS.
-BLAS_THREAD_GETTERS = ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads")
-BLAS_THREAD_SETTERS = ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads")
+# Thread-count getters and setters of the scipy-openblas build numpy 2 wheels
+# ship, of the ILP64 OpenBLAS of numpy 1.22-1.26 wheels, and of a system OpenBLAS.
+BLAS_THREAD_GETTERS = ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                       "openblas_get_num_threads")
+BLAS_THREAD_SETTERS = ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
+                       "openblas_set_num_threads")
 
 
 class ShapeError(ValueError):

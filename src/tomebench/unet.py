@@ -27,9 +27,9 @@ since every element would compute the same bytes there.
 
 `merged_token_counts` is the single home of the merge policy: which blocks
 merge at a given ratio, and how many tokens their merged components evaluate.
-The forward pass, the FLOP and memory model, the token ledger and the merge
-map preview all derive from it. It builds on `policy_covers` (the blocks the
-policy applies to at all), which the capacity check reads too.
+The forward pass, the FLOP and memory model and the token ledger all derive
+from it. It builds on `policy_covers` (the blocks the policy applies to at
+all), which the capacity check reads too.
 """
 
 from __future__ import annotations
@@ -45,9 +45,9 @@ import numpy as np
 
 from .config import HarnessConfig, ToMeConfig
 from .grid import GridShape, TokenGrid
-from .matching import build_merge_plan, tokens_to_remove
+from .matching import MergePlan, build_merge_plan, tokens_to_remove
 from .merging import MODE_MERGE, MODE_PRUNE, apply_unmerge, reduce_tokens
-from .partition import make_partition
+from .partition import PartitionPlan, make_partition
 from .rng import StreamRng
 from .tensor import (DTYPE, FlopCounter, ShapeError, blas_threads, count_matmul_flops,
                      layernorm_rows, matmul, softmax_rows)
@@ -286,7 +286,10 @@ class RunTrace:
     `blas_threads` is the OpenBLAS thread count the run computed with, None
     where it was not read; `attention_threads` the threads its large
     attention, layernorm and MLP calls computed on (see `attention_threads`),
-    None where not read.
+    None where not read. `first_plan` holds the partition block 0 drew at
+    step 0 and element 0's merge plan built there, None where block 0 did not
+    merge at step 0; the plan is a one-element copy, which keeps no `Grouping`
+    alive.
     """
 
     def __init__(self, blas_threads: int | None = None, attention_threads: int | None = None):
@@ -296,6 +299,7 @@ class RunTrace:
         self.baseline_step_times: list[float] | None = None
         self.blas_threads = blas_threads
         self.attention_threads = attention_threads
+        self.first_plan: tuple[PartitionPlan, MergePlan] | None = None
 
     @property
     def similarity_total(self) -> int:
@@ -464,6 +468,8 @@ class UNetModel:
             counted = FlopCounter()
             with count_matmul_flops(counted):
                 plan = build_merge_plan(values[:planned], part.prefix(planned), ratio)
+            if trace is not None and step == layer == 0:
+                trace.first_plan = (part, MergePlan(plan.n_tokens, plan.edges[:1]))
             if planned != values.shape[0]:
                 plan = plan.repeated(values.shape[0])
         mode = MODE_PRUNE if (tome is not None and tome.prune) else MODE_MERGE

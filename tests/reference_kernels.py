@@ -279,10 +279,10 @@ def apply_unmerge(values, plan: ElementPlan, mode: str = MODE_MERGE) -> np.ndarr
 
 def rand_tile_mask(shape: GridShape, scheme: PartitionScheme, gen: np.random.Generator) -> np.ndarray:
     mask = np.zeros(shape.tokens, dtype=bool)
-    for y0 in range(0, shape.height, scheme.ty):
-        for x0 in range(0, shape.width, scheme.tx):
-            th = min(scheme.ty, shape.height - y0)
-            tw = min(scheme.tx, shape.width - x0)
+    for y0 in range(0, shape.height, scheme.y):
+        for x0 in range(0, shape.width, scheme.x):
+            th = min(scheme.y, shape.height - y0)
+            tw = min(scheme.x, shape.width - x0)
             pick = int(gen.integers(th * tw))
             y, x = y0 + pick // tw, x0 + pick % tw
             mask[y * shape.width + x] = True

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 
 import pytest
 from test_allocator import DIRECT_RUN
@@ -103,6 +104,21 @@ def test_pin_restores_the_count_when_its_body_raises(fake_blas):
             assert tensor.blas_threads() == 1
             raise ValueError
     assert fake_blas == [1, 3]
+
+
+def test_numpy_1_ilp64_openblas_names_are_found(monkeypatch):
+    # numpy 1.22-1.26 wheels ship an ILP64 OpenBLAS whose symbols end in `64_`
+    def getter():
+        return 3
+
+    def setter(threads):
+        pass
+
+    library = types.SimpleNamespace(openblas_get_num_threads64_=getter,
+                                    openblas_set_num_threads64_=setter)
+    monkeypatch.setattr(tensor, "_openblas_libraries", lambda: (library,))
+    assert tensor._blas_thread_getter.__wrapped__() is getter
+    assert tensor._blas_thread_setter.__wrapped__() is setter
 
 
 def test_pin_is_a_no_op_without_a_setter(monkeypatch):

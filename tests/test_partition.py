@@ -133,6 +133,15 @@ class TestErrors:
         with pytest.raises(PartitionError):
             make_partition(GridShape(1, 4, 4), PartitionScheme.strided(1, 1), RNG)
 
+    @pytest.mark.parametrize("frac,side", [(0.01, 4), (0.9, 2)],
+                             ids=["no-dst", "no-src"])  # round(f * N) is 0 and N
+    @pytest.mark.parametrize("batch", [1, 2])
+    @pytest.mark.parametrize("batch_fix", [True, False])
+    def test_random_scheme_with_an_empty_side_fails(self, frac, side, batch, batch_fix):
+        scheme = PartitionScheme.random(frac, batch_fix=batch_fix)
+        with pytest.raises(PartitionError, match="leaves an empty src or dst set"):
+            make_partition(GridShape(batch, side, side), scheme, RNG)
+
     def test_bad_scheme_params(self):
         with pytest.raises(PartitionError):
             PartitionScheme.strided(0, 2)

@@ -80,6 +80,19 @@ def test_run_that_never_merges_at_its_steps_denoises_once(monkeypatch):
     assert output.final.values.tobytes() == merged.values.tobytes()
 
 
+def test_trace_keeps_block_zero_step_zero_plan_only_where_block_zero_merged_then():
+    merged = execute_run(tiny_harness())  # ratio 0.5 on the 64-token block 0
+    part, plan = merged.trace.first_plan
+    assert part.shape.batch == 2 and plan.edges.shape == (1, 32, 2)
+    assert "grouping" not in vars(plan)  # a one-element copy keeps no Grouping alive
+    # floor(0.01 * 64) == 0: block 0 merges only at the last step
+    later = dataclasses.replace(merged.harness, tome=ToMeConfig(
+        ratio_start=0.01, ratio_end=0.5, min_tokens=1))
+    output = execute_run(later)
+    assert output.trace.first_plan is None
+    assert output.report.similarity_computes > 0
+
+
 def test_sweep_reuse_changes_no_result(tmp_path, forward_calls):
     points = reuse_points()
     outputs = run_sweep(points, tmp_path / "sweep")
